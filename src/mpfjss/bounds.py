@@ -22,7 +22,7 @@ from .solver import SolveTimeout, decide, optimize
 STRATEGIES = ("single", "inc", "exp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """One decision call made during cap search."""
 
@@ -31,7 +31,7 @@ class Probe:
     seconds: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyConfig:
     strategy: str = "exp"
     window: int = 20
@@ -47,7 +47,7 @@ class StrategyConfig:
             raise ValueError("timeout must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundResult:
     """Outcome of the cap-search phase.
 
@@ -64,7 +64,7 @@ class BoundResult:
     witness: Schedule | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     bound: BoundResult
     schedule: Schedule | None

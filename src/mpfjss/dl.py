@@ -15,6 +15,13 @@ Two interchangeable kernels back the engine: a compiled extension
 (``mpfjss._dl_core``) and a pure-Python twin (``mpfjss._dl_pure``).  The
 compiled one is picked by default when importable; the ``MPFJSS_DL_BACKEND``
 environment variable or the ``backend=`` argument forces a choice.
+
+:attr:`DLEngine.kernel` exposes the raw kernel for hot loops that manage
+their own variables, such as the solver's search.  Kernel nodes are plain
+integers: a variable's node is ``handle + 1`` and node 0 is ``zero``;
+``kernel.assert_edge(y, x, k)`` asserts ``x - y <= k`` and returns 0, or 1
+on a conflict.  Only the engine's own methods check that a variable belongs
+to the engine; the kernel takes nodes as given.
 """
 
 from __future__ import annotations
@@ -91,6 +98,11 @@ class DLEngine:
     @property
     def backend(self) -> str:
         return self._backend
+
+    @property
+    def kernel(self):
+        """The raw kernel behind this engine; see the module docstring."""
+        return self._kern
 
     def new_var(self, name: object = None) -> DLVar:
         """Create a variable; handles count up from 0 and stay stable."""

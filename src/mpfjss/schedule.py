@@ -18,7 +18,7 @@ Allocation = dict[Task, dict[str, int]]
 """Chosen instance index per demanded class, per task."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     job: str
     op: str
@@ -31,7 +31,7 @@ class Assignment:
         return (self.job, self.op)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     assignments: tuple[Assignment, ...]
     tardiness: dict[str, int]

@@ -168,7 +168,22 @@ class _Search:
 
         self.eng = DLEngine(backend=backend)
         self.var = {t: self.eng.new_var(t) for t in self.all_tasks}
+        # the search talks to the raw kernel, where a variable's node is its
+        # handle + 1 and node 0 is the origin
+        self.kern = self.eng.kernel
+        self.node = {t: v.handle + 1 for t, v in self.var.items()}
+        # jobs as (deadline, [(node, duration) of tasks with no same-job
+        # successor]): precedence ends every other task before one of these
+        self.sinks = []
+        for j in inst.jobs:
+            preds = {a for a, _ in j.precedence}
+            ends = [(self.node[(j.name, o)], inst.duration(o))
+                    for o in sorted(j.operations) if o not in preds]
+            if ends:
+                self.sinks.append((j.deadline, ends))
         self.base_ok = self._assert_base()
+        # earliest starts of every node, refreshed after each successful assert
+        self.low = self.kern.earliest_all()
         self.root_lb = self._lb() if self.base_ok else 0
 
         self.same_pairs = _same_job_pairs(inst)
@@ -178,10 +193,7 @@ class _Search:
         self.load = {r.key: 0 for r in inst.resources}
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in inst.resources}
         # earliest starts implied by precedence alone, for the packing check
-        self.release = (
-            {t: self.eng.lower_bound(self.var[t]) for t in self.all_tasks}
-            if self.base_ok else {}
-        )
+        self.release = self._starts() if self.base_ok else {}
 
         self.best_t: int | None = None
         self.best: tuple[dict[Task, int], Allocation] | None = None
@@ -190,17 +202,15 @@ class _Search:
 
     def _assert_base(self) -> bool:
         """Start bounds, per-task caps and precedence; False if contradictory."""
-        zero = self.eng.zero
+        kern = self.kern
         for t in self.all_tasks:
-            if self.eng.assert_upper(zero, self.var[t], 0) is not None:
-                return False
             latest = self.due[t[0]] + self.cap - self.dur[t]
-            if self.eng.assert_upper(self.var[t], zero, latest) is not None:
+            # start >= 0, then start <= latest
+            if kern.assert_edge(self.node[t], 0, 0) or kern.assert_edge(0, self.node[t], latest):
                 return False
         for j in self.inst.jobs:
             for a, b in sorted(j.precedence):
-                va, vb = self.var[(j.name, a)], self.var[(j.name, b)]
-                if self.eng.assert_upper(va, vb, -self.inst.duration(a)) is not None:
+                if not self._assert_before((j.name, a), (j.name, b)):
                     return False
         return True
 
@@ -247,13 +257,25 @@ class _Search:
             raise SolveTimeout(f"search deadline exceeded after {self._ticks} steps")
 
     def _lb(self) -> int:
-        """Tardiness lower bound from the earliest starts proven so far."""
-        done: dict[str, int] = {}
-        for t in self.all_tasks:
-            end = self.eng.lower_bound(self.var[t]) + self.dur[t]
-            if done.get(t[0], 0) < end:
-                done[t[0]] = end
-        return sum(max(0, end - self.due[j]) for j, end in done.items())
+        """Total tardiness of the earliest starts in ``self.low``.
+
+        A lower bound inside the order search, the exact total at its leaves.
+        """
+        low = self.low
+        total = 0
+        for due, ends in self.sinks:
+            late = max(low[n] + d for n, d in ends) - due
+            if late > 0:
+                total += late
+        return total
+
+    def _starts(self) -> dict[Task, int]:
+        low = self.low
+        return {t: low[n] for t, n in self.node.items()}
+
+    def _assert_before(self, a: Task, b: Task) -> bool:
+        """Assert that ``a`` completes before ``b`` starts; False if contradictory."""
+        return self.kern.assert_edge(self.node[b], self.node[a], -self.dur[a]) == 0
 
     # -- allocation search ----------------------------------------------
 
@@ -346,92 +368,84 @@ class _Search:
     # -- ordering search -------------------------------------------------
 
     def _alloc_leaf(self) -> Schedule | None:
-        pairs = self.same_pairs + _shared_instance_pairs(self.alloc)
+        pairs = set(self.same_pairs)
+        for users in self.on_key.values():
+            for i, a in enumerate(users):
+                for b in users[i + 1:]:
+                    if a[0] != b[0]:
+                        pairs.add((a, b) if a < b else (b, a))
         return self._order_dfs(pairs)
 
-    def _earliest(self, t: Task) -> int:
-        return self.eng.lower_bound(self.var[t])
+    def _pick_pair(self, remaining: set) -> tuple[tuple[Task, Task], list]:
+        """The pair whose earlier task can start first, and its directions.
 
-    def _pick_pair(self, remaining: set) -> tuple[Task, Task]:
-        lows: dict[Task, int] = {}
-        for a, b in remaining:
-            if a not in lows:
-                lows[a] = self._earliest(a)
-            if b not in lows:
-                lows[b] = self._earliest(b)
+        Ties go to the later of the two earliest starts, then to the pair
+        itself; the task with the earlier (start, name) goes first.
+        """
+        low, node = self.low, self.node
 
         def key(pair):
-            a, b = pair
-            la, lb = lows[a], lows[b]
-            return (min(la, lb), max(la, lb), pair)
+            la, lb = low[node[pair[0]]], low[node[pair[1]]]
+            return (la, lb, pair) if la <= lb else (lb, la, pair)
 
-        return min(remaining, key=key)
-
-    def _directions(self, pair: tuple[Task, Task]) -> list[tuple[Task, Task]]:
+        pair = min(remaining, key=key)
         a, b = pair
-        if (self._earliest(a), a) <= (self._earliest(b), b):
-            return [(a, b), (b, a)]
-        return [(b, a), (a, b)]
-
-    def _assert_before(self, a: Task, b: Task) -> bool:
-        return self.eng.assert_upper(self.var[a], self.var[b], -self.dur[a]) is None
+        if (low[node[a]], a) <= (low[node[b]], b):
+            return pair, [(a, b), (b, a)]
+        return pair, [(b, a), (a, b)]
 
     def _promising(self) -> bool:
         if not self.optimizing or self.best_t is None:
             return True
         return self._lb() < self.best_t
 
-    def _order_dfs(self, pairs: list[tuple[Task, Task]]) -> Schedule | None:
-        eng = self.eng
-        base = eng.level()
+    def _order_dfs(self, pairs: set[tuple[Task, Task]]) -> Schedule | None:
+        kern = self.kern
+        base = kern.level()
         remaining = set(pairs)
         frames: list[list] = []  # per directed pair: [pair, directions left]
+        self.low = kern.earliest_all()
         while True:
             if len(frames) == len(pairs):
                 res = self._order_leaf()
                 if res is not None:
-                    while eng.level() > base:
-                        eng.pop()
+                    while kern.level() > base:
+                        kern.pop()
                     return res
                 if not frames:
                     return None
-                eng.pop()
+                kern.pop()
             else:
-                pair = self._pick_pair(remaining)
+                pair, dirs = self._pick_pair(remaining)
                 remaining.discard(pair)
-                frames.append([pair, self._directions(pair)])
+                frames.append([pair, dirs])
             while True:
                 self._tick()
-                pair, dirs = frames[-1]
+                dirs = frames[-1][1]
                 advanced = False
                 while dirs:
                     a, b = dirs.pop(0)
-                    eng.push()
-                    if self._assert_before(a, b) and self._promising():
-                        advanced = True
-                        break
-                    eng.pop()
+                    kern.push()
+                    if self._assert_before(a, b):
+                        self.low = kern.earliest_all()
+                        if self._promising():
+                            advanced = True
+                            break
+                    kern.pop()
                 if advanced:
                     break
                 remaining.add(frames.pop()[0])
                 if not frames:
                     return None
-                eng.pop()
+                kern.pop()
 
     def _order_leaf(self) -> Schedule | None:
-        sol = self.eng.solution()
-        starts = {t: sol[self.var[t]] for t in self.all_tasks}
         if not self.optimizing:
-            return build_schedule(self.inst, starts, self.alloc)
-        done: dict[str, int] = {}
-        for t, s in starts.items():
-            end = s + self.dur[t]
-            if done.get(t[0], 0) < end:
-                done[t[0]] = end
-        total = sum(max(0, end - self.due[j]) for j, end in done.items())
+            return build_schedule(self.inst, self._starts(), self.alloc)
+        total = self._lb()
         if self.best_t is None or total < self.best_t:
             self.best_t = total
-            self.best = (starts, {t: dict(cs) for t, cs in self.alloc.items()})
+            self.best = (self._starts(), {t: dict(cs) for t, cs in self.alloc.items()})
             if total <= self.root_lb:
                 raise _ProvenOptimal
         return None
