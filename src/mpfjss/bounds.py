@@ -7,6 +7,12 @@ optimizer minimizes total tardiness under that cap.  Three strategies:
   inc     tumbling window: probe caps 0, w, 2w, ... until the first SAT
   exp     doubling ladder to the first SAT cap, then binary search down
           to the smallest satisfiable cap
+
+The probes of one ``inc`` or ``exp`` run share one search, built when the
+first probe starts: start bounds and precedence are asserted once, and each
+probe asserts only its cap's per-task latest starts under ``push``/``pop``,
+as multi-shot ASP solving re-solves one ground program under a changing
+bound.  The final ``optimize`` builds a search of its own.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .model import Instance, tasks
 from .schedule import Schedule, schedule_to_json
-from .solver import SolveTimeout, decide, optimize
+from .solver import SolveTimeout, _Search, decide, optimize
 
 STRATEGIES = ("single", "inc", "exp")
 
@@ -90,10 +96,19 @@ def _out_of_time(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _probe(inst, bound, deadline, backend):
-    t0 = time.monotonic()
-    sched = decide(inst, bound, deadline=deadline, backend=backend)
-    return sched, Probe(bound, sched is not None, time.monotonic() - t0)
+def _prober(inst, deadline, backend):
+    """A probe function whose calls share one search, built by the first."""
+    search = None
+
+    def probe(bound):
+        nonlocal search
+        t0 = time.monotonic()
+        if search is None:
+            search = _Search(inst, backend=backend)
+        sched = decide(inst, bound, deadline=deadline, search=search)
+        return sched, Probe(bound, sched is not None, time.monotonic() - t0)
+
+    return probe
 
 
 def incremental_bound(
@@ -108,6 +123,7 @@ def incremental_bound(
         raise ValueError("window must be at least 1")
     t0 = time.monotonic()
     probes: list[Probe] = []
+    probe_at = _prober(inst, deadline, backend)
     bound = 0
     cap = None
     witness = None
@@ -115,7 +131,7 @@ def incremental_bound(
         if _out_of_time(deadline):
             break
         try:
-            sched, probe = _probe(inst, bound, deadline, backend)
+            sched, probe = probe_at(bound)
         except SolveTimeout:
             break
         probes.append(probe)
@@ -144,6 +160,7 @@ def exponential_bound(
     probes: list[Probe] = []
     ceiling = single_shot_bound(inst)
     witness = None
+    probe_at = _prober(inst, deadline, backend)
 
     def done(cap):
         return BoundResult("exp", cap, tuple(probes),
@@ -151,7 +168,7 @@ def exponential_bound(
 
     def ask(bound):
         nonlocal witness
-        sched, probe = _probe(inst, bound, deadline, backend)
+        sched, probe = probe_at(bound)
         probes.append(probe)
         if sched is not None:
             witness = sched

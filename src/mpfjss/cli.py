@@ -114,21 +114,22 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _bench_record(work: tuple[str, str, int, float, str | None]) -> dict:
+def _bench_record(work: tuple[str, str, int, float, str | None]) -> tuple[dict, str | None]:
+    """One bench row, and for an ``error`` row the exception that caused it."""
     path, strategy, window, timeout, backend = work
     record = dict.fromkeys(CSV_COLUMNS)
     record.update(instance=Path(path).stem, jobs=0, strategy=strategy,
                   verdict="error")
     try:
         inst = load_instance(path)
-    except (OSError, InstanceError):
-        return record
+    except (OSError, InstanceError) as exc:
+        return record, f"{type(exc).__name__}: {exc}"
     record["jobs"] = len(inst.jobs)
     cfg = StrategyConfig(strategy=strategy, window=window, timeout=timeout)
     try:
         report = solve_with_strategy(inst, cfg, backend=backend)
-    except Exception:
-        return record
+    except Exception as exc:  # one bad instance must not abort the sweep
+        return record, f"{type(exc).__name__}: {exc}"
     record.update(
         verdict=report.verdict(),
         search_s=round(report.bound.search_seconds, 3),
@@ -136,7 +137,7 @@ def _bench_record(work: tuple[str, str, int, float, str | None]) -> dict:
         total_tardiness=report.total_tardiness,
         cap=report.bound.cap,
     )
-    return record
+    return record, None
 
 
 def cmd_bench(args) -> int:
@@ -149,10 +150,15 @@ def cmd_bench(args) -> int:
             for p in paths for s in strategies]
     if args.jobs > 1 and work:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_record, work))
+            results = list(pool.map(_bench_record, work))
     else:
-        records = [_bench_record(w) for w in work]
-    records.sort(key=lambda r: (r["jobs"], r["instance"], r["strategy"]))
+        results = [_bench_record(w) for w in work]
+    for record, error in results:
+        if error is not None:
+            print(f"mpfjss: {record['instance']} {record['strategy']}: {error}",
+                  file=sys.stderr)
+    records = sorted((record for record, _ in results),
+                     key=lambda r: (r["jobs"], r["instance"], r["strategy"]))
 
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.output)

@@ -15,6 +15,14 @@ Start times themselves are never enumerated: once every pair is directed,
 the difference-constraint system either admits a unique earliest schedule or
 proves the directions contradictory.  Both searches are iterative, so deep
 instances cannot exhaust the interpreter stack.
+
+The cap enters the difference-constraint system only as an upper bound on
+each task's start.  A search is therefore built once per instance, with
+start bounds and precedence at the kernel's base level, and each cap is
+asserted on a pushed level and popped afterwards.  The cap-search strategies
+send all their probes to one such search, as multi-shot ASP solving
+re-solves one ground program under a changing bound (Gebser et al., TPLP
+2019).
 """
 
 from __future__ import annotations
@@ -145,22 +153,29 @@ def _definitely_unsat(inst: Instance, cap: int) -> bool:
 
 
 class _Search:
+    """The search over one instance, reused for every cap it is asked about.
+
+    Building it validates ``inst`` and does, once, everything no cap changes:
+    it asserts that every start is non-negative and that job precedence
+    holds, at the kernel's base level, and fixes the earliest starts, root
+    lower bound and release times those imply, the unordered same-job pairs,
+    the groups of interchangeable instances and the decision slots.  :meth:`solve` then enters a cap only as
+    per-task latest starts, asserted on a pushed kernel level that it pops
+    again however the solve ends.  One search thus answers a sequence of caps
+    the way multi-shot ASP solving re-solves one ground program under a
+    changing bound.
+    """
+
     def __init__(
         self,
         inst: Instance,
-        cap: int,
         *,
         symmetry_breaking: bool = True,
-        deadline: float | None = None,
         backend: str | None = None,
-        optimizing: bool = False,
     ):
+        _ensure_solvable_structure(inst)
         self.inst = inst
-        self.cap = cap
-        self.deadline = deadline
-        self.optimizing = optimizing
         self.sym = symmetry_breaking
-        self._ticks = 0
 
         self.all_tasks = tasks(inst)
         self.dur = {t: inst.duration(t[1]) for t in self.all_tasks}
@@ -182,31 +197,66 @@ class _Search:
             if ends:
                 self.sinks.append((j.deadline, ends))
         self.base_ok = self._assert_base()
-        # earliest starts of every node, refreshed after each successful assert
+        self.base_level = self.kern.level()
+        # earliest starts of every node, refreshed after each successful
+        # assert; a cap's latest starts leave them as they are here
         self.low = self.kern.earliest_all()
         self.root_lb = self._lb() if self.base_ok else 0
+        # earliest starts implied by precedence alone, for the packing check
+        self.release = self._starts() if self.base_ok else {}
 
         self.same_pairs = _same_job_pairs(inst)
         self._build_groups()
         self.slots = self._build_slots()
-        self.alloc: dict[Task, dict[str, int]] = {t: {} for t in self.all_tasks}
-        self.load = {r.key: 0 for r in inst.resources}
-        self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in inst.resources}
-        # earliest starts implied by precedence alone, for the packing check
-        self.release = self._starts() if self.base_ok else {}
 
+    def solve(
+        self,
+        cap: int,
+        *,
+        optimizing: bool = False,
+        deadline: float | None = None,
+    ) -> Schedule | None:
+        """Search under per-job cap ``cap``, leaving the base level as built.
+
+        Returns the first schedule found, or None when none exists; when
+        ``optimizing`` it returns None and leaves the incumbent in ``best``.
+        Raises :class:`SolveTimeout` past ``deadline`` and
+        :class:`_ProvenOptimal` when an incumbent meets the root lower bound.
+        """
+        self.cap = cap
+        self.optimizing = optimizing
+        self.deadline = deadline
+        self._ticks = 0
         self.best_t: int | None = None
         self.best: tuple[dict[Task, int], Allocation] | None = None
+        self.alloc: dict[Task, dict[str, int]] = {t: {} for t in self.all_tasks}
+        self.load = {r.key: 0 for r in self.inst.resources}
+        self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
+        for g in self.groups:
+            g["cnt"] = [0] * len(g["indices"])
+        if not self.base_ok or _definitely_unsat(self.inst, cap):
+            return None
+        kern = self.kern
+        kern.push()
+        try:
+            for t in self.all_tasks:
+                # start <= latest: a bound from the origin raises no earliest
+                # start, so the base ``low`` and ``release`` stay exact
+                if kern.assert_edge(0, self.node[t], self.due[t[0]] + cap - self.dur[t]):
+                    return None
+            return self._allocate()
+        finally:
+            while kern.level() > self.base_level:
+                kern.pop()
 
     # -- setup ----------------------------------------------------------
 
     def _assert_base(self) -> bool:
-        """Start bounds, per-task caps and precedence; False if contradictory."""
+        """Start bounds and precedence; False if contradictory."""
         kern = self.kern
         for t in self.all_tasks:
-            latest = self.due[t[0]] + self.cap - self.dur[t]
-            # start >= 0, then start <= latest
-            if kern.assert_edge(self.node[t], 0, 0) or kern.assert_edge(0, self.node[t], latest):
+            # start >= 0
+            if kern.assert_edge(self.node[t], 0, 0):
                 return False
         for j in self.inst.jobs:
             for a, b in sorted(j.precedence):
@@ -333,10 +383,8 @@ class _Search:
                 return True
         return False
 
-    def run(self) -> Schedule | None:
+    def _allocate(self) -> Schedule | None:
         """Iterate over allocations; each complete one runs the order search."""
-        if not self.base_ok or _definitely_unsat(self.inst, self.cap):
-            return None
         slots = self.slots
         frames: list[list] = []  # per open slot: [remaining indices, applied index]
         while True:
@@ -458,19 +506,26 @@ def decide(
     symmetry_breaking: bool = True,
     deadline: float | None = None,
     backend: str | None = None,
+    search: _Search | None = None,
 ) -> Schedule | None:
     """A schedule with every job at most ``cap`` minutes late, or None.
 
     ``deadline`` is an absolute ``time.monotonic`` value; crossing it raises
     :class:`SolveTimeout`.  None is a proof of exhaustion, not a give-up.
+
+    ``search`` is a search already built for ``inst``, as the cap-search
+    strategies pass to all their probes: validation and the build are then
+    skipped, the search's own ``symmetry_breaking`` and ``backend`` apply,
+    and only the cap's per-task latest starts are asserted, under
+    ``push``/``pop``.  The result is the same as without it.
     """
     if cap < 0:
         raise ValueError(f"tardiness cap must be non-negative, got {cap}")
-    _ensure_solvable_structure(inst)
-    search = _Search(
-        inst, cap, symmetry_breaking=symmetry_breaking, deadline=deadline, backend=backend
-    )
-    return search.run()
+    if search is None:
+        search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
+    elif search.inst is not inst:
+        raise ValueError("search was built for another instance")
+    return search.solve(cap, deadline=deadline)
 
 
 def optimize(
@@ -488,18 +543,10 @@ def optimize(
     """
     if cap < 0:
         raise ValueError(f"tardiness cap must be non-negative, got {cap}")
-    _ensure_solvable_structure(inst)
-    search = _Search(
-        inst,
-        cap,
-        symmetry_breaking=symmetry_breaking,
-        deadline=deadline,
-        backend=backend,
-        optimizing=True,
-    )
+    search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
     proven = True
     try:
-        search.run()
+        search.solve(cap, optimizing=True, deadline=deadline)
     except _ProvenOptimal:
         pass
     except SolveTimeout:

@@ -212,13 +212,18 @@ def test_bench_parallel_matches_serial(bench_dir, capsys):
 
 def test_bench_records_errors(bench_dir, capsys):
     (bench_dir / "broken.lp").write_text("job(j1,)\n")
-    code, out = run(capsys, "bench", str(bench_dir))
-    assert code == 0
-    rows = parse_csv(out)
-    broken = [r for r in rows if r["instance"] == "broken"]
-    assert len(broken) == 1
-    assert broken[0]["verdict"] == "error"
-    assert len(rows) == 4
+    for jobs in ("1", "2"):
+        code = main(["bench", str(bench_dir), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = parse_csv(captured.out)
+        broken = [r for r in rows if r["instance"] == "broken"]
+        assert len(broken) == 1
+        assert broken[0]["verdict"] == "error"
+        assert len(rows) == 4
+        assert captured.err.splitlines() == [
+            "mpfjss: broken exp: ParseError: unparsable text `job(j1,)` at line 1, column 1"
+        ]
 
 
 def test_bench_empty_dir(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Exhaustive ``decide`` and ``optimize`` runs (no deadline) must take exactly
 the recorded number of search steps and return exactly the recorded
 schedule.  The pins were taken from the solver that read every earliest
-start through the validating ``DLEngine`` facade; a faster search that
-visits the same nodes in the same order keeps them.
+start through the validating ``DLEngine`` facade, one fresh search per
+call; a faster search that visits the same nodes in the same order keeps
+them, and so does one search reused for every cap on an instance.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import pytest
 from mpfjss import GenParams, generate, load_instance
 from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.schedule import build_schedule, schedule_to_json
-from mpfjss.solver import SolveTimeout, _ProvenOptimal, _Search, conflict_pairs
+from mpfjss.solver import SolveTimeout, _ProvenOptimal, _Search, conflict_pairs, decide
 
 from conftest import DATA, random_tiny_instance
 
@@ -64,27 +65,72 @@ def _digest(sched):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _run(search):
+def _run(search, cap, optimizing):
     """Run to exhaustion; the schedule ``decide`` or ``optimize`` would return."""
-    if not search.optimizing:
-        return search.run()
+    if not optimizing:
+        return search.solve(cap)
     try:
-        search.run()
+        search.solve(cap, optimizing=True)
     except _ProvenOptimal:
         pass
     return None if search.best is None else build_schedule(search.inst, *search.best)
 
 
-@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-@pytest.mark.parametrize("key,mode,cap,steps,total,digest", PINNED)
-def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _Search(_instance(key), cap, backend=backend, optimizing=(mode == "optimize"))
-    sched = _run(search)
+def _check_pin(search, sched, steps, total, digest):
     assert search._ticks == steps
     if total is None:
         assert sched is None
     else:
         assert (sched.total_tardiness, _digest(sched)) == (total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", PINNED)
+def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
+    search = _Search(_instance(key), backend=backend)
+    sched = _run(search, cap, mode == "optimize")
+    _check_pin(search, sched, steps, total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("key", list(dict.fromkeys(row[0] for row in PINNED)),
+                         ids=lambda k: k if isinstance(k, str) else "-".join(map(str, k)))
+def test_one_search_replays_every_pin(backend, key):
+    """Every pinned cap of an instance, forward then backward, on one search."""
+    rows = [row[1:] for row in PINNED if row[0] == key]
+    search = _Search(_instance(key), backend=backend)
+    for mode, cap, steps, total, digest in rows + rows[::-1]:
+        sched = _run(search, cap, mode == "optimize")
+        _check_pin(search, sched, steps, total, digest)
+        assert search.kern.level() == search.base_level
+
+
+def test_search_is_reusable_after_abnormal_exit():
+    key = ("shop", 10, 2, 0.0)
+    inst = _instance(key)
+    search = _Search(inst)
+    # a passed deadline strikes at the first clock read, 256 steps in
+    with pytest.raises(SolveTimeout):
+        search.solve(1, optimizing=True, deadline=0.0)
+    assert search._ticks == 256
+    assert search.kern.level() == search.base_level
+    # the optimum under cap 1 meets the root lower bound
+    with pytest.raises(_ProvenOptimal):
+        search.solve(1, optimizing=True)
+    assert search.kern.level() == search.base_level
+    # cap 0 admits no schedule, so no incumbent may survive into it
+    for mode, cap in (("decide", 1), ("optimize", 1), ("optimize", 0), ("decide", 0),
+                      ("optimize", 3)):
+        sched = _run(search, cap, mode == "optimize")
+        fresh = _Search(inst)
+        want = _run(fresh, cap, mode == "optimize")
+        assert search._ticks == fresh._ticks
+        assert (sched and _digest(sched)) == (want and _digest(want))
+        assert search.kern.level() == search.base_level
+    with pytest.raises(ValueError):
+        decide(inst, -1, search=search)
+    with pytest.raises(ValueError):
+        decide(_instance(key), 1, search=search)
 
 
 class _CheckedSearch(_Search):
@@ -139,9 +185,9 @@ def test_search_shortcuts_match_facade_recomputation():
     for inst in _random_instances():
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap, optimizing in ((serial, False), (serial, True), (serial // 4, True)):
-            search = _CheckedSearch(inst, cap, optimizing=optimizing)
+            search = _CheckedSearch(inst)
             try:
-                _run(search)
+                _run(search, cap, optimizing)
             except SolveTimeout:
                 pass
             nodes += search.nodes
