@@ -12,7 +12,9 @@ The probes of one ``inc`` or ``exp`` run share one search, built when the
 first probe starts: start bounds and precedence are asserted once, and each
 probe asserts only its cap's per-task latest starts under ``push``/``pop``,
 as multi-shot ASP solving re-solves one ground program under a changing
-bound.  The final ``optimize`` builds a search of its own.
+bound.  The final ``optimize`` runs on that same search and starts from the
+last SAT probe's schedule (the witness); only ``single``, which probes
+nothing, builds a search for ``optimize``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,14 @@ class Probe:
 
 @dataclass(frozen=True, slots=True)
 class StrategyConfig:
+    """How :func:`solve_with_strategy` searches.
+
+    ``window`` is the cap step of ``inc``; ``timeout`` is the wall budget of
+    the whole solve in seconds.  ``seed`` chooses the jobs that the anytime
+    neighbourhood search inside ``optimize`` re-solves; None means a fixed
+    default, so equal configurations give equal reports.
+    """
+
     strategy: str = "exp"
     window: int = 20
     timeout: float = 7200.0
@@ -96,19 +106,19 @@ def _out_of_time(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def _prober(inst, deadline, backend):
-    """A probe function whose calls share one search, built by the first."""
-    search = None
+class _Prober:
+    """Probes that share one search, built when the first one starts."""
 
-    def probe(bound):
-        nonlocal search
+    def __init__(self, inst, deadline, backend):
+        self.inst, self.deadline, self.backend = inst, deadline, backend
+        self.search = None
+
+    def __call__(self, bound):
         t0 = time.monotonic()
-        if search is None:
-            search = _Search(inst, backend=backend)
-        sched = decide(inst, bound, deadline=deadline, search=search)
+        if self.search is None:
+            self.search = _Search(self.inst, backend=self.backend)
+        sched = decide(self.inst, bound, deadline=self.deadline, search=self.search)
         return sched, Probe(bound, sched is not None, time.monotonic() - t0)
-
-    return probe
 
 
 def incremental_bound(
@@ -119,11 +129,14 @@ def incremental_bound(
     backend: str | None = None,
 ) -> BoundResult:
     """Probe caps 0, window, 2*window, ... and stop at the first SAT."""
+    return _incremental(inst, window, deadline, _Prober(inst, deadline, backend))
+
+
+def _incremental(inst, window, deadline, probe_at) -> BoundResult:
     if window < 1:
         raise ValueError("window must be at least 1")
     t0 = time.monotonic()
     probes: list[Probe] = []
-    probe_at = _prober(inst, deadline, backend)
     bound = 0
     cap = None
     witness = None
@@ -156,11 +169,14 @@ def exponential_bound(
     (last UNSAT, first SAT] by halving.  The log of the returned result
     shows UNSAT at cap-1 whenever cap > 0.
     """
+    return _exponential(inst, deadline, _Prober(inst, deadline, backend))
+
+
+def _exponential(inst, deadline, probe_at) -> BoundResult:
     t0 = time.monotonic()
     probes: list[Probe] = []
     ceiling = single_shot_bound(inst)
     witness = None
-    probe_at = _prober(inst, deadline, backend)
 
     def done(cap):
         return BoundResult("exp", cap, tuple(probes),
@@ -215,28 +231,34 @@ def solve_with_strategy(
 
     Both phases share one wall-clock budget of cfg.timeout seconds.  A
     timeout during cap search yields a bound-not-found report; a timeout
-    during optimization yields the best incumbent seen, unproven.
+    during optimization yields the best incumbent seen, unproven.  For
+    ``inc`` and ``exp`` the optimization reuses the probes' search and starts
+    from their witness, which is the report's schedule itself when nothing
+    better is found.  ``cfg.seed`` seeds the neighbourhood choice of
+    :func:`optimize`.
     """
     deadline = time.monotonic() + cfg.timeout
+    search = None
     if cfg.strategy == "single":
         t0 = time.monotonic()
         cap = single_shot_bound(inst)
         bound = BoundResult("single", cap, (), time.monotonic() - t0)
-    elif cfg.strategy == "inc":
-        bound = incremental_bound(inst, cfg.window, deadline=deadline,
-                                  backend=backend)
     else:
-        bound = exponential_bound(inst, deadline=deadline, backend=backend)
+        probe_at = _Prober(inst, deadline, backend)
+        if cfg.strategy == "inc":
+            bound = _incremental(inst, cfg.window, deadline, probe_at)
+        else:
+            bound = _exponential(inst, deadline, probe_at)
+        search = probe_at.search
 
     if bound.cap is None:
         return SolveReport(bound, None, None, False)
 
     t0 = time.monotonic()
-    res = optimize(inst, bound.cap, deadline=deadline, backend=backend)
+    res = optimize(inst, bound.cap, deadline=deadline, backend=backend,
+                   search=search, incumbent=bound.witness, seed=cfg.seed)
     bound = dataclasses.replace(bound, opt_seconds=time.monotonic() - t0)
     sched = res.schedule
-    if sched is None and bound.witness is not None:
-        sched = bound.witness  # timed out before the first leaf; keep the probe's schedule
     total = None if sched is None else sched.total_tardiness
     return SolveReport(bound, sched, total, res.proven_optimal)
 

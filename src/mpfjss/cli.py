@@ -186,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap step for the inc strategy (minutes)")
     solve.add_argument("--timeout", type=float, default=7200.0,
                        help="wall-clock budget in seconds")
-    solve.add_argument("--seed", type=int, default=None)
+    solve.add_argument("--seed", type=int, default=None,
+                       help="seed for the jobs that the optimizer's neighbourhood "
+                            "search re-solves (default: a fixed seed, so runs repeat)")
     solve.add_argument("--backend", choices=AVAILABLE_BACKENDS, default=None)
     solve.add_argument("--output", help="write the report here instead of stdout")
     solve.set_defaults(func=cmd_solve)

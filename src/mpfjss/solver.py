@@ -22,17 +22,35 @@ start bounds and precedence at the kernel's base level, and each cap is
 asserted on a pushed level and popped afterwards.  The cap-search strategies
 send all their probes to one such search, as multi-shot ASP solving
 re-solves one ground program under a changing bound (Gebser et al., TPLP
-2019).
+2019).  The final ``optimize`` of a cap search runs on that search too.
+
+Depth first, the exact search can spend its whole budget reordering the
+first allocation it reaches.  ``optimize`` therefore adds an anytime
+neighbourhood search (large-neighbourhood search: Shaw, CP 1998; Pisinger &
+Ropke, 2010): when the order search of one allocation has run
+``STALL_STEPS`` steps without a new incumbent, a second search of the same
+instance keeps every task of all but ``NEIGHBOURHOOD_JOBS`` randomly drawn
+jobs where the incumbent put it, re-allocates and re-orders the tasks of the
+drawn jobs for at most ``NEIGHBOURHOOD_STEPS`` steps, and hands back any
+strictly better schedule as the new incumbent.  The exact search then prunes
+harder but still runs to exhaustion, so what it proves stays exact.  Budgets
+count steps, not seconds, so runs repeat exactly.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from typing import Iterable, NamedTuple
 
 from .dl import DLEngine
 from .model import Instance, Task, tasks, validate_instance
 from .schedule import Allocation, Schedule, build_schedule
+
+STALL_STEPS = 1024  # order-search steps in one allocation without a new incumbent
+NEIGHBOURHOOD_STEPS = 2048  # search steps of one neighbourhood step
+NEIGHBOURHOOD_JOBS = 3  # jobs re-solved by one neighbourhood step, if there are more
+DEFAULT_SEED = 0  # neighbourhood choice when ``optimize`` gets no seed
 
 
 class UnsolvableInstanceError(Exception):
@@ -55,6 +73,10 @@ class OptimizeResult(NamedTuple):
 
 class _ProvenOptimal(Exception):
     """Internal: the incumbent matched the root lower bound; stop searching."""
+
+
+class _StepsSpent(Exception):
+    """Internal: a neighbourhood step used up its step budget."""
 
 
 def _ensure_solvable_structure(inst: Instance) -> None:
@@ -166,6 +188,21 @@ class _Search:
     changing bound.
     """
 
+    # Past 30 instance attributes CPython stops sharing a class's dict keys,
+    # and every attribute read in the search loops gets slower (about 7% of
+    # a small exact solve); slots keep those reads fast.
+    __slots__ = (
+        # built once per instance
+        "inst", "sym", "all_tasks", "dur", "due", "eng", "var", "kern", "node",
+        "sinks", "base_ok", "base_level", "low", "root_lb", "release",
+        "same_pairs", "groups", "class_groups", "group_pos", "slots",
+        # a neighbourhood step's pins, and the search that runs those steps
+        "keep", "kept_order", "step_limit", "_neighbour",
+        # per solve
+        "cap", "optimizing", "deadline", "rng", "_ticks", "_stall_mark",
+        "best_t", "best", "alloc", "load", "on_key",
+    )
+
     def __init__(
         self,
         inst: Instance,
@@ -209,12 +246,21 @@ class _Search:
         self._build_groups()
         self.slots = self._build_slots()
 
+        # set only for a neighbourhood step (see :meth:`reoptimize`): tasks
+        # kept on their instances, and their directed conflict pairs
+        self.keep: Allocation = {}
+        self.kept_order: list[tuple[Task, Task]] = []
+        self.step_limit: int | None = None
+        self._neighbour: _Search | None = None  # built at the first stall
+
     def solve(
         self,
         cap: int,
         *,
         optimizing: bool = False,
         deadline: float | None = None,
+        incumbent: tuple[dict[Task, int], Allocation, int] | None = None,
+        rng: random.Random | None = None,
     ) -> Schedule | None:
         """Search under per-job cap ``cap``, leaving the base level as built.
 
@@ -222,13 +268,23 @@ class _Search:
         ``optimizing`` it returns None and leaves the incumbent in ``best``.
         Raises :class:`SolveTimeout` past ``deadline`` and
         :class:`_ProvenOptimal` when an incumbent meets the root lower bound.
+
+        When optimizing, ``incumbent`` is ``(starts, alloc, total)`` of a
+        schedule under ``cap`` to start from: only a strictly better schedule
+        replaces it.  With ``rng``, an order search that stalls runs
+        neighbourhood steps drawn from it (:meth:`_neighbourhood_step`).
         """
         self.cap = cap
         self.optimizing = optimizing
         self.deadline = deadline
+        self.rng = rng
         self._ticks = 0
+        self._stall_mark: int | None = None  # step count at the last progress
         self.best_t: int | None = None
         self.best: tuple[dict[Task, int], Allocation] | None = None
+        if incumbent is not None:
+            starts, alloc, self.best_t = incumbent
+            self.best = (starts, alloc)
         self.alloc: dict[Task, dict[str, int]] = {t: {} for t in self.all_tasks}
         self.load = {r.key: 0 for r in self.inst.resources}
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
@@ -244,10 +300,53 @@ class _Search:
                 # start, so the base ``low`` and ``release`` stay exact
                 if kern.assert_edge(0, self.node[t], self.due[t[0]] + cap - self.dur[t]):
                     return None
+            for a, b in self.kept_order:
+                if not self._assert_before(a, b):
+                    return None
             return self._allocate()
         finally:
             while kern.level() > self.base_level:
                 kern.pop()
+
+    def reoptimize(
+        self,
+        cap: int,
+        incumbent: tuple[dict[Task, int], Allocation, int],
+        free: set[str],
+        *,
+        deadline: float | None = None,
+    ) -> None:
+        """One neighbourhood step: re-solve the jobs in ``free`` around ``incumbent``.
+
+        ``incumbent`` is ``(starts, alloc, total)`` of a schedule under
+        ``cap``.  Every task of another job keeps its instances, and every
+        pair of such tasks that conflicts keeps its order, asserted with the
+        cap; those pairs leave the order search.  The tasks of ``free`` are
+        allocated and ordered anew for at most ``NEIGHBOURHOOD_STEPS`` steps.
+        Afterwards ``best``/``best_t`` hold a strictly better schedule if one
+        was found, else the incumbent.  The search must be built without
+        symmetry breaking: kept tasks make interchangeable instances differ.
+        """
+        if self.sym:
+            raise ValueError("a neighbourhood search needs symmetry_breaking=False")
+        starts, alloc, _ = incumbent
+        keep = {t: alloc[t] for t in self.all_tasks if t[0] not in free}
+        pairs = [p for p in self.same_pairs if p[0] in keep and p[1] in keep]
+        pairs += _shared_instance_pairs(keep)
+        dur = self.dur
+        self.keep = keep
+        # a schedule overlaps no conflicting pair, so the first ends first
+        self.kept_order = [(a, b) if starts[a] + dur[a] <= starts[b] else (b, a)
+                           for a, b in pairs]
+        self.step_limit = NEIGHBOURHOOD_STEPS
+        try:
+            self.solve(cap, optimizing=True, deadline=deadline, incumbent=incumbent)
+        except _StepsSpent:
+            pass
+        finally:
+            self.keep = {}
+            self.kept_order = []
+            self.step_limit = None
 
     # -- setup ----------------------------------------------------------
 
@@ -299,12 +398,38 @@ class _Search:
 
     def _tick(self) -> None:
         self._ticks += 1
-        if (
-            self.deadline is not None
-            and (self._ticks & 255) == 0
-            and time.monotonic() > self.deadline
-        ):
+        if self._ticks & 255:
+            return
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolveTimeout(f"search deadline exceeded after {self._ticks} steps")
+        if self.step_limit is not None and self._ticks >= self.step_limit:
+            raise _StepsSpent
+        mark = self._stall_mark
+        if self.rng is not None and mark is not None and self._ticks - mark >= STALL_STEPS:
+            self._neighbourhood_step()
+
+    def _neighbourhood_step(self) -> None:
+        """Hand the incumbent to :meth:`reoptimize` on a second search.
+
+        The second search is built at the first stall.  ``NEIGHBOURHOOD_JOBS``
+        jobs, fewer if the instance has no more than that, are drawn from
+        ``rng``; a better schedule becomes the incumbent, even when the step
+        ends in a timeout, and one at the root lower bound ends the search.
+        """
+        self._stall_mark = self._ticks
+        if self.best is None:
+            return
+        if self._neighbour is None:
+            self._neighbour = _Search(self.inst, symmetry_breaking=False,
+                                      backend=self.eng.backend)
+        nb = self._neighbour
+        jobs = [j.name for j in self.inst.jobs]
+        free = set(self.rng.sample(jobs, min(NEIGHBOURHOOD_JOBS, len(jobs) - 1)))
+        try:
+            nb.reoptimize(self.cap, (*self.best, self.best_t), free, deadline=self.deadline)
+        finally:
+            if nb.best_t < self.best_t:
+                self.best, self.best_t = nb.best, nb.best_t
 
     def _lb(self) -> int:
         """Total tardiness of the earliest starts in ``self.low``.
@@ -340,6 +465,9 @@ class _Search:
                 open_prefix = sum(1 for c in g["cnt"] if c > 0)
                 allowed.extend(g["indices"][: min(open_prefix + 1, len(g["indices"]))])
         else:
+            kept = self.keep.get(slot[0])
+            if kept is not None:
+                return [kept[cls]]
             allowed = list(self.inst.capable(cls, op))
         allowed.sort(key=lambda i: (self.load[(cls, i)], i))
         return allowed
@@ -422,7 +550,13 @@ class _Search:
                 for b in users[i + 1:]:
                     if a[0] != b[0]:
                         pairs.add((a, b) if a < b else (b, a))
-        return self._order_dfs(pairs)
+        keep = self.keep
+        if keep:
+            pairs = {p for p in pairs if p[0] not in keep or p[1] not in keep}
+        self._stall_mark = self._ticks
+        res = self._order_dfs(pairs)
+        self._stall_mark = None
+        return res
 
     def _pick_pair(self, remaining: set) -> tuple[tuple[Task, Task], list]:
         """The pair whose earlier task can start first, and its directions.
@@ -494,6 +628,7 @@ class _Search:
         if self.best_t is None or total < self.best_t:
             self.best_t = total
             self.best = (self._starts(), {t: dict(cs) for t, cs in self.alloc.items()})
+            self._stall_mark = self._ticks
             if total <= self.root_lb:
                 raise _ProvenOptimal
         return None
@@ -535,26 +670,53 @@ def optimize(
     symmetry_breaking: bool = True,
     deadline: float | None = None,
     backend: str | None = None,
+    search: _Search | None = None,
+    incumbent: Schedule | None = None,
+    seed: int | None = None,
 ) -> OptimizeResult:
     """Minimal total tardiness among schedules obeying the per-job cap.
 
     Runs branch and bound to exhaustion unless ``deadline`` strikes first, in
-    which case the best incumbent is returned unproven.
+    which case the best incumbent is returned unproven.  Whenever the order
+    search of one allocation stalls, a neighbourhood step re-solves the tasks
+    of a few jobs drawn with ``random.Random(seed)`` around the incumbent
+    (see the module docstring); a seed of None means ``DEFAULT_SEED``, so
+    equal calls return equal schedules.  Neighbourhood steps only find
+    incumbents sooner: a run to exhaustion returns a proven optimum.
+
+    ``search`` is a search already built for ``inst``, as the cap-search
+    strategies pass on from their probes; its own ``symmetry_breaking`` and
+    ``backend`` then apply.  ``incumbent`` is a schedule under ``cap``, such
+    as the cap search's witness: the search starts from it, it is returned
+    itself when nothing better turns up, and when its total meets the root
+    lower bound it is returned proven without searching.
     """
     if cap < 0:
         raise ValueError(f"tardiness cap must be non-negative, got {cap}")
-    search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
+    if search is None:
+        search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
+    elif search.inst is not inst:
+        raise ValueError("search was built for another instance")
+    start = None
+    if incumbent is not None:
+        if incumbent.total_tardiness <= search.root_lb:
+            return OptimizeResult(incumbent, True)
+        start = ({a.task: a.start for a in incumbent.assignments},
+                 {a.task: dict(a.resources) for a in incumbent.assignments},
+                 incumbent.total_tardiness)
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     proven = True
     try:
-        search.solve(cap, optimizing=True, deadline=deadline)
+        search.solve(cap, optimizing=True, deadline=deadline, incumbent=start, rng=rng)
     except _ProvenOptimal:
         pass
     except SolveTimeout:
         proven = False
     if search.best is None:
         return OptimizeResult(None, proven)
-    starts, alloc = search.best
-    return OptimizeResult(build_schedule(inst, starts, alloc), proven)
+    if start is not None and search.best[0] is start[0]:
+        return OptimizeResult(incumbent, proven)
+    return OptimizeResult(build_schedule(inst, *search.best), proven)
 
 
 def start_times_from_order(
