@@ -104,6 +104,20 @@ class Instance:
         return {r.key: r for r in self.resources}
 
     @cached_property
+    def shared_keys(self) -> dict[tuple, tuple]:
+        """One shared copy of each resource key and of each resource tuple.
+
+        Every ``(class, index)`` key maps to itself, and so does every sorted
+        tuple of keys that a schedule of this instance has used as a task's
+        ``resources``: schedules reuse these copies instead of holding equal
+        ones of their own (see :func:`mpfjss.schedule.build_schedule`).  The
+        table only grows, by at most one entry per distinct allocation of
+        one task; threads that fill it at once can at worst store two equal
+        copies, which changes no schedule.
+        """
+        return {k: k for k in self.resource_map}
+
+    @cached_property
     def job_map(self) -> dict[str, Job]:
         return {j.name: j for j in self.jobs}
 

@@ -52,10 +52,20 @@ class Schedule:
 
 
 def build_schedule(inst: Instance, starts: dict[Task, int], alloc: Allocation) -> Schedule:
-    """Assemble a :class:`Schedule` with derived ends and tardiness figures."""
+    """Assemble a :class:`Schedule` with derived ends and tardiness figures.
+
+    Tasks with the same instances share one ``resources`` tuple, built from
+    shared keys (:attr:`Instance.shared_keys`), so that many schedules of one
+    instance cost little more memory than their start times.
+    """
+    shared = inst.shared_keys
     assignments = []
     for (job, op), start in sorted(starts.items()):
-        resources = tuple(sorted(alloc.get((job, op), {}).items()))
+        chosen = tuple(sorted(alloc.get((job, op), {}).items()))
+        resources = shared.get(chosen)
+        if resources is None:
+            resources = tuple(shared.get(k, k) for k in chosen)
+            shared[resources] = resources
         assignments.append(
             Assignment(job, op, start, start + inst.duration(op), resources)
         )

@@ -35,12 +35,24 @@ drawn jobs for at most ``NEIGHBOURHOOD_STEPS`` steps, and hands back any
 strictly better schedule as the new incumbent.  The exact search then prunes
 harder but still runs to exhaustion, so what it proves stays exact.  Budgets
 count steps, not seconds, so runs repeat exactly.
+
+Within one solve the search also remembers which allocations it has
+refuted, as an ASP solver keeps the nogoods it learnt.  The order search of
+an allocation depends only on its set of conflict pairs, since everything
+else in the difference-constraint system is fixed for the solve, and more
+pairs only add constraints: every schedule a superset admits is matched,
+task by task, by one at least as early under the subset.  So an allocation
+whose pairs contain those of one whose order search came back empty can
+yield no schedule, nor a strictly better incumbent, and is skipped.  The
+memo holds the last ``MEMO_LEAVES`` refuted pair sets as bitmasks;
+forgetting older ones only prunes less.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from typing import Iterable, NamedTuple
 
 from .dl import DLEngine
@@ -51,6 +63,7 @@ STALL_STEPS = 1024  # order-search steps in one allocation without a new incumbe
 NEIGHBOURHOOD_STEPS = 2048  # search steps of one neighbourhood step
 NEIGHBOURHOOD_JOBS = 3  # jobs re-solved by one neighbourhood step, if there are more
 DEFAULT_SEED = 0  # neighbourhood choice when ``optimize`` gets no seed
+MEMO_LEAVES = 4096  # refuted allocation leaves one solve remembers; the oldest go first
 
 
 class UnsolvableInstanceError(Exception):
@@ -195,12 +208,12 @@ class _Search:
         # built once per instance
         "inst", "sym", "all_tasks", "dur", "due", "eng", "var", "kern", "node",
         "sinks", "base_ok", "base_level", "low", "root_lb", "release",
-        "same_pairs", "groups", "class_groups", "group_pos", "slots",
+        "same_pairs", "groups", "class_groups", "group_pos", "slots", "pair_bit",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
         "cap", "optimizing", "deadline", "rng", "_ticks", "_stall_mark",
-        "best_t", "best", "alloc", "load", "on_key",
+        "best_t", "best", "alloc", "load", "on_key", "refuted",
     )
 
     def __init__(
@@ -245,6 +258,8 @@ class _Search:
         self.same_pairs = _same_job_pairs(inst)
         self._build_groups()
         self.slots = self._build_slots()
+        # one bit per conflict pair, given out as leaves meet new pairs
+        self.pair_bit: dict[tuple[Task, Task], int] = {}
 
         # set only for a neighbourhood step (see :meth:`reoptimize`): tasks
         # kept on their instances, and their directed conflict pairs
@@ -290,6 +305,8 @@ class _Search:
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
         for g in self.groups:
             g["cnt"] = [0] * len(g["indices"])
+        # pair masks of the leaves whose order search came back empty
+        self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
         if not self.base_ok or _definitely_unsat(self.inst, cap):
             return None
         kern = self.kern
@@ -544,6 +561,31 @@ class _Search:
     # -- ordering search -------------------------------------------------
 
     def _alloc_leaf(self) -> Schedule | None:
+        """Order search of a complete allocation, unless a refuted one covers it.
+
+        The order search's outcome depends only on the leaf's conflict pairs:
+        the cap level and the kept order are fixed for the solve.  A superset
+        of pairs only adds constraints, so each schedule it admits is matched
+        by one at least as early under the subset.  A leaf whose pairs
+        contain the pairs of a leaf whose order search returned None in this
+        solve thus holds no schedule in decide mode and no strictly better
+        incumbent in optimize mode, as ``best_t`` only falls; it is skipped.
+        Only a search that ran to its end is recorded, never one cut off by
+        an exception.  The memo keeps the last ``MEMO_LEAVES`` masks.
+        """
+        pairs = self._leaf_pairs()
+        mask = self._pair_mask(pairs)
+        if self._covered(mask):
+            return None
+        self._stall_mark = self._ticks
+        res = self._order_dfs(pairs)
+        self._stall_mark = None
+        if res is None:
+            self.refuted.append(mask)
+        return res
+
+    def _leaf_pairs(self) -> set[tuple[Task, Task]]:
+        """The conflict pairs of the current allocation left to order."""
         pairs = set(self.same_pairs)
         for users in self.on_key.values():
             for i, a in enumerate(users):
@@ -553,10 +595,24 @@ class _Search:
         keep = self.keep
         if keep:
             pairs = {p for p in pairs if p[0] not in keep or p[1] not in keep}
-        self._stall_mark = self._ticks
-        res = self._order_dfs(pairs)
-        self._stall_mark = None
-        return res
+        return pairs
+
+    def _pair_mask(self, pairs: set[tuple[Task, Task]]) -> int:
+        bits = self.pair_bit
+        mask = 0
+        for p in pairs:
+            bit = bits.get(p)
+            if bit is None:
+                bit = bits[p] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def _covered(self, mask: int) -> bool:
+        """Does a refuted leaf's pair set lie inside ``mask``'s?"""
+        for seen in self.refuted:
+            if seen & mask == seen:
+                return True
+        return False
 
     def _pick_pair(self, remaining: set) -> tuple[tuple[Task, Task], list]:
         """The pair whose earlier task can start first, and its directions.

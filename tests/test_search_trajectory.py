@@ -6,6 +6,12 @@ schedule.  The pins were taken from the solver that read every earliest
 start through the validating ``DLEngine`` facade, one fresh search per
 call; a faster search that visits the same nodes in the same order keeps
 them, and so does one search reused for every cap on an instance.
+
+The search skips an allocation leaf whose conflict pairs contain those of a
+leaf it has already refuted in the same solve.  Each pin therefore has two
+step counts: the first is taken by ``_PlainSearch``, whose memo never
+fires, and equals the count pinned before the memo existed; the second is
+taken by the search as shipped.  Both return the same schedule.
 """
 
 import dataclasses
@@ -18,7 +24,14 @@ import pytest
 from mpfjss import GenParams, generate, load_instance
 from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.schedule import build_schedule, schedule_to_json
-from mpfjss.solver import SolveTimeout, _ProvenOptimal, _Search, conflict_pairs, decide
+from mpfjss.solver import (
+    MEMO_LEAVES,
+    SolveTimeout,
+    _ProvenOptimal,
+    _Search,
+    conflict_pairs,
+    decide,
+)
 
 from conftest import DATA, random_tiny_instance
 
@@ -26,30 +39,39 @@ from conftest import DATA, random_tiny_instance
 SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
                  durations=(2, 6), shift=40)
 
-# (instance, mode, cap, search steps, total tardiness, schedule digest);
-# an instance is "example" or (generator, jobs, seed, partial_order)
+# (instance, mode, cap, plain steps, memo steps, total tardiness, schedule
+# digest); an instance is "example" or (generator, jobs, seed, partial_order)
 PINNED = [
-    ("example", "decide", 0, 0, None, None),
-    ("example", "decide", 1, 145, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 1, 2554, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 3, 3605, 1, "c11bb8a35b520c9b"),
-    (("shop", 3, 6, 0.0), "decide", 3, 4629, None, None),
-    (("shop", 3, 6, 0.0), "decide", 4, 1444, 6, "09c9453ba71f6438"),
-    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 6, "09c9453ba71f6438"),
-    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 14, "84455d75f04c0725"),
-    (("day", 3, 2, 0.0), "decide", 52, 31, 52, "e55e3749abe578af"),
-    (("day", 3, 2, 0.0), "optimize", 52, 31, 52, "e55e3749abe578af"),
-    (("shop", 5, 8, 0.5), "decide", 6, 2600, 12, "430a7411b012e420"),
-    (("shop", 5, 4, 0.5), "optimize", 28, 319, 8, "25f9a1428eca09d7"),
-    (("day", 5, 3, 0.5), "decide", 25, 41, 25, "d7a4e2135e40e51a"),
-    (("day", 5, 3, 0.5), "optimize", 25, 41, 25, "d7a4e2135e40e51a"),
-    (("shop", 10, 2, 0.0), "decide", 1, 1196, 2, "0e501a7a6d112d25"),
-    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1, "5f2a96a708c922b5"),
-    (("shop", 10, 3, 0.5), "decide", 5, 155, 13, "4eab8513cb55fd44"),
-    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 5, "14cf9e76dae2bd4e"),
-    (("day", 10, 2, 0.5), "decide", 40, 116, 111, "85f55a707007abc7"),
-    (("day", 10, 4, 0.0), "optimize", 63, 79, 66, "6a30113a3a8e1dd7"),
+    ("example", "decide", 0, 0, 0, None, None),
+    ("example", "decide", 1, 145, 145, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 1, 2554, 1447, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 3, 3605, 1941, 1, "c11bb8a35b520c9b"),
+    (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, None, None),
+    (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 6, "09c9453ba71f6438"),
+    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 6, "09c9453ba71f6438"),
+    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 14, "84455d75f04c0725"),
+    (("day", 3, 2, 0.0), "decide", 52, 31, 31, 52, "e55e3749abe578af"),
+    (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 52, "e55e3749abe578af"),
+    (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 12, "430a7411b012e420"),
+    (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 8, "25f9a1428eca09d7"),
+    (("day", 5, 3, 0.5), "decide", 25, 41, 41, 25, "d7a4e2135e40e51a"),
+    (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 25, "d7a4e2135e40e51a"),
+    (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 2, "0e501a7a6d112d25"),
+    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 1, "5f2a96a708c922b5"),
+    (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 13, "4eab8513cb55fd44"),
+    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 5, "14cf9e76dae2bd4e"),
+    (("day", 10, 2, 0.5), "decide", 40, 116, 116, 111, "85f55a707007abc7"),
+    (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 66, "6a30113a3a8e1dd7"),
 ]
+PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, t, d in PINNED]
+MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, t, d in PINNED]
+
+
+class _PlainSearch(_Search):
+    """The search with a memo that never fires: every leaf is order-searched."""
+
+    def _covered(self, mask):
+        return False
 
 
 def _instance(key):
@@ -85,8 +107,16 @@ def _check_pin(search, sched, steps, total, digest):
 
 
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
-@pytest.mark.parametrize("key,mode,cap,steps,total,digest", PINNED)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", PLAIN_PINS)
 def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
+    search = _PlainSearch(_instance(key), backend=backend)
+    sched = _run(search, cap, mode == "optimize")
+    _check_pin(search, sched, steps, total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", MEMO_PINS)
+def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
     search = _Search(_instance(key), backend=backend)
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
@@ -97,12 +127,13 @@ def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, dige
                          ids=lambda k: k if isinstance(k, str) else "-".join(map(str, k)))
 def test_one_search_replays_every_pin(backend, key):
     """Every pinned cap of an instance, forward then backward, on one search."""
-    rows = [row[1:] for row in PINNED if row[0] == key]
-    search = _Search(_instance(key), backend=backend)
-    for mode, cap, steps, total, digest in rows + rows[::-1]:
-        sched = _run(search, cap, mode == "optimize")
-        _check_pin(search, sched, steps, total, digest)
-        assert search.kern.level() == search.base_level
+    for cls, pins in ((_PlainSearch, PLAIN_PINS), (_Search, MEMO_PINS)):
+        rows = [row[1:] for row in pins if row[0] == key]
+        search = cls(_instance(key), backend=backend)
+        for mode, cap, steps, total, digest in rows + rows[::-1]:
+            sched = _run(search, cap, mode == "optimize")
+            _check_pin(search, sched, steps, total, digest)
+            assert search.kern.level() == search.base_level
 
 
 def test_search_is_reusable_after_abnormal_exit():
@@ -136,12 +167,20 @@ def test_search_is_reusable_after_abnormal_exit():
 class _CheckedSearch(_Search):
     """A search that checks its shortcuts against the facade at every node.
 
-    It gives up after a fixed number of steps, so that large random
+    At every allocation leaf it also checks the leaf's pairs against
+    ``conflict_pairs``; at every leaf the memo skips, that the leaf's mask
+    encodes exactly those pairs and contains a refuted leaf's mask, and
+    that the pairs contain those of a leaf whose order search ran to its
+    end.  It gives up after a fixed number of steps, so that large random
     instances stay cheap and the test does the same work on every run.
     """
 
     STEPS = 3000
-    nodes = leaves = 0
+    nodes = leaves = skips = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.explored = []  # pair sets whose order search returned None
 
     def _tick(self):
         super()._tick()
@@ -155,10 +194,26 @@ class _CheckedSearch(_Search):
             done[t[0]] = max(done.get(t[0], 0), end)
         return sum(max(0, end - self.due[j]) for j, end in done.items())
 
-    def _order_dfs(self, pairs):
-        assert set(pairs) == conflict_pairs(self.inst, self.alloc)
+    def _leaf_pairs(self):
+        self.pairs = super()._leaf_pairs()
+        assert self.pairs == conflict_pairs(self.inst, self.alloc)
         self.leaves += 1
-        return super()._order_dfs(pairs)
+        return self.pairs
+
+    def _covered(self, mask):
+        assert mask == sum(self.pair_bit[p] for p in self.pairs)
+        if not super()._covered(mask):
+            return False
+        assert any(seen & mask == seen for seen in self.refuted)
+        assert any(pairs <= self.pairs for pairs in self.explored)
+        self.skips += 1
+        return True
+
+    def _order_dfs(self, pairs):
+        res = super()._order_dfs(pairs)
+        if res is None:
+            self.explored.append(frozenset(pairs))
+        return res
 
     def _pick_pair(self, remaining):
         assert self._lb() == self._full_lb()
@@ -181,7 +236,7 @@ def _random_instances():
 
 
 def test_search_shortcuts_match_facade_recomputation():
-    nodes = leaves = 0
+    nodes = leaves = skips = 0
     for inst in _random_instances():
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap, optimizing in ((serial, False), (serial, True), (serial // 4, True)):
@@ -192,4 +247,119 @@ def test_search_shortcuts_match_facade_recomputation():
                 pass
             nodes += search.nodes
             leaves += search.leaves
-    assert nodes > 10_000 and leaves > 200
+            skips += search.skips
+    # a skipped leaf is checked too, so it counts as one
+    assert nodes > 10_000 and leaves > 200 and skips > 0
+
+
+# -- the leaf memo ----------------------------------------------------------
+
+@pytest.mark.parametrize("symmetry_breaking", [True, False])
+def test_memo_changes_no_result(symmetry_breaking):
+    rng = random.Random(77)
+    memo_steps = plain_steps = 0
+    for _ in range(25):
+        inst = random_tiny_instance(rng)
+        serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
+        for cap in sorted({0, 1, 3, serial // 2, serial}):
+            for optimizing in (False, True):
+                memo = _Search(inst, symmetry_breaking=symmetry_breaking)
+                plain = _PlainSearch(inst, symmetry_breaking=symmetry_breaking)
+                got = _run(memo, cap, optimizing)
+                want = _run(plain, cap, optimizing)
+                assert (got and (got.total_tardiness, _digest(got))) == \
+                    (want and (want.total_tardiness, _digest(want)))
+                assert memo._ticks <= plain._ticks
+                memo_steps += memo._ticks
+                plain_steps += plain._ticks
+    assert memo_steps < plain_steps
+
+
+class _CutMidLeaf(_Search):
+    """Times out at the first step past ``cut`` taken inside an order search."""
+
+    cut = None
+    in_leaf = False
+
+    def _order_dfs(self, pairs):
+        self.in_leaf = True
+        try:
+            return super()._order_dfs(pairs)
+        finally:
+            self.in_leaf = False
+
+    def _tick(self):
+        super()._tick()
+        if self.cut is not None and self.in_leaf and self._ticks > self.cut:
+            raise SolveTimeout("cut inside an order search")
+
+
+@pytest.mark.parametrize("key,mode,cap", [(("shop", 3, 6, 0.0), "optimize", 4),
+                                          (("shop", 3, 6, 0.0), "decide", 3),
+                                          ("example", "optimize", 3)])
+def test_memo_after_a_timeout_mid_leaf(key, mode, cap):
+    inst = _instance(key)
+    fresh = _Search(inst)
+    want = _run(fresh, cap, mode == "optimize")
+    for cut in (fresh._ticks // 3, 2 * fresh._ticks // 3):
+        search = _CutMidLeaf(inst)
+        search.cut = cut
+        with pytest.raises(SolveTimeout):
+            _run(search, cap, mode == "optimize")
+        assert search.refuted  # leaves refuted before the cut
+        search.cut = None
+        got = _run(search, cap, mode == "optimize")
+        assert search._ticks == fresh._ticks
+        assert (got and _digest(got)) == (want and _digest(want))
+
+
+def test_two_neighbourhood_steps_on_one_search_match_fresh_searches():
+    day = generate(dataclasses.replace(GenParams(), jobs=(10, 10)), 3)
+    cap = sum(day.duration(op) for j in day.jobs for op in j.operations)
+    sched = _Search(day).solve(cap)
+    incumbent = ({a.task: a.start for a in sched.assignments},
+                 {a.task: dict(a.resources) for a in sched.assignments},
+                 sched.total_tardiness)
+    names = [j.name for j in day.jobs]
+    shared = _Search(day, symmetry_breaking=False)
+    for free in (set(names[:3]), set(names[5:8])):
+        fresh = _Search(day, symmetry_breaking=False)
+        for search in (shared, fresh):
+            try:
+                search.reoptimize(cap, incumbent, free)
+            except _ProvenOptimal:
+                pass
+        assert shared.refuted
+        assert (shared._ticks, shared.best_t, shared.best) == (fresh._ticks, fresh.best_t,
+                                                               fresh.best)
+
+
+class _RecordingSearch(_PlainSearch):
+    """Records every refuted leaf's mask and stops past ``LIMIT`` of them."""
+
+    LIMIT = MEMO_LEAVES + 100
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.masks = []
+
+    def _covered(self, mask):
+        self.mask = mask
+        return False
+
+    def _order_dfs(self, pairs):
+        if len(self.masks) >= self.LIMIT:
+            raise SolveTimeout("enough leaves")
+        res = super()._order_dfs(pairs)
+        if res is None:
+            self.masks.append(self.mask)
+        return res
+
+
+def test_memo_keeps_the_latest_leaves_only():
+    inst = generate(dataclasses.replace(SHOP, jobs=(4, 4)), 1)
+    search = _RecordingSearch(inst)
+    with pytest.raises(SolveTimeout):
+        search.solve(2)
+    assert len(search.masks) == _RecordingSearch.LIMIT
+    assert list(search.refuted) == search.masks[-MEMO_LEAVES:]
