@@ -8,13 +8,19 @@ optimizer minimizes total tardiness under that cap.  Three strategies:
   exp     doubling ladder to the first SAT cap, then binary search down
           to the smallest satisfiable cap
 
-The probes of one ``inc`` or ``exp`` run share one search, built when the
-first probe starts: start bounds and precedence are asserted once, and each
-probe asserts only its cap's per-task latest starts under ``push``/``pop``,
-as multi-shot ASP solving re-solves one ground program under a changing
-bound.  The final ``optimize`` runs on that same search and starts from the
-last SAT probe's schedule (the witness); only ``single``, which probes
-nothing, builds a search for ``optimize``.
+The strategies differ only in the order in which they try caps.  Every
+probe goes through one probe object, which owns the solve's deadline, the
+shared search, the probe log and the last SAT schedule (the witness).  A
+probe checks the deadline before it starts and never starts after it; the
+timeout that ends a cap search, before a probe or inside one, is caught in
+one place and leaves the cap None.
+
+The first probe builds the search, inside its own timing: start bounds and
+precedence are asserted once, and each probe asserts only its cap's
+per-task latest starts under ``push``/``pop``, as multi-shot ASP solving
+re-solves one ground program under a changing bound.  The final
+``optimize`` runs on that same search and starts from the witness; only
+``single``, which probes nothing, builds a search for ``optimize``.
 """
 
 from __future__ import annotations
@@ -102,23 +108,84 @@ def single_shot_bound(inst: Instance) -> int:
     return sum(inst.duration(op) for _, op in tasks(inst))
 
 
-def _out_of_time(deadline: float | None) -> bool:
-    return deadline is not None and time.monotonic() >= deadline
+class _Probes:
+    """The probes of one cap search: its deadline, its search and its log."""
 
-
-class _Prober:
-    """Probes that share one search, built when the first one starts."""
-
-    def __init__(self, inst, deadline, backend):
+    def __init__(self, inst: Instance, deadline: float | None, backend: str | None):
         self.inst, self.deadline, self.backend = inst, deadline, backend
-        self.search = None
+        self.search: _Search | None = None
+        self.log: list[Probe] = []
+        self.witness: Schedule | None = None
 
-    def __call__(self, bound):
+    def sat(self, bound: int) -> bool:
+        """Decide ``bound``; raises SolveTimeout once the deadline has passed."""
         t0 = time.monotonic()
+        if self.deadline is not None and t0 >= self.deadline:
+            raise SolveTimeout("cap search deadline passed")
         if self.search is None:
             self.search = _Search(self.inst, backend=self.backend)
         sched = decide(self.inst, bound, deadline=self.deadline, search=self.search)
-        return sched, Probe(bound, sched is not None, time.monotonic() - t0)
+        self.log.append(Probe(bound, sched is not None, time.monotonic() - t0))
+        if sched is not None:
+            self.witness = sched
+        return sched is not None
+
+
+def _inc(sat, window: int) -> int:
+    """The cap order of ``inc``: 0, window, 2*window, ... up to the first SAT."""
+    bound = 0
+    while not sat(bound):
+        bound += window
+    return bound
+
+
+def _exp(sat, ceiling: int) -> int | None:
+    """The cap order of ``exp``: a ladder clipped to ``ceiling``, then halving.
+
+    An UNSAT probe at the ceiling ends the ladder with no cap.
+    """
+    if sat(0):
+        return 0
+    lo, bound = 0, 1  # lo is UNSAT
+    while not sat(bound := min(bound, ceiling)):
+        if bound == ceiling:
+            return None  # unreachable for structurally valid input
+        lo, bound = bound, bound * 2
+    hi = bound  # SAT
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sat(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _cap_search(
+    inst: Instance,
+    strategy: str,
+    window: int | None,
+    deadline: float | None,
+    backend: str | None,
+) -> tuple[BoundResult, _Search | None]:
+    """The cap search of ``strategy`` and the search its probes built, if any.
+
+    A timeout anywhere in it leaves the cap None.
+    """
+    t0 = time.monotonic()
+    probes = _Probes(inst, deadline, backend)
+    try:
+        if strategy == "single":
+            cap = single_shot_bound(inst)
+        elif strategy == "inc":
+            cap = _inc(probes.sat, window)
+        else:
+            cap = _exp(probes.sat, single_shot_bound(inst))
+    except SolveTimeout:
+        cap = None
+    bound = BoundResult(strategy, cap, tuple(probes.log), time.monotonic() - t0,
+                        witness=probes.witness)
+    return bound, probes.search
 
 
 def incremental_bound(
@@ -129,31 +196,9 @@ def incremental_bound(
     backend: str | None = None,
 ) -> BoundResult:
     """Probe caps 0, window, 2*window, ... and stop at the first SAT."""
-    return _incremental(inst, window, deadline, _Prober(inst, deadline, backend))
-
-
-def _incremental(inst, window, deadline, probe_at) -> BoundResult:
     if window < 1:
         raise ValueError("window must be at least 1")
-    t0 = time.monotonic()
-    probes: list[Probe] = []
-    bound = 0
-    cap = None
-    witness = None
-    while True:
-        if _out_of_time(deadline):
-            break
-        try:
-            sched, probe = probe_at(bound)
-        except SolveTimeout:
-            break
-        probes.append(probe)
-        if sched is not None:
-            cap, witness = bound, sched
-            break
-        bound += window
-    return BoundResult("inc", cap, tuple(probes), time.monotonic() - t0,
-                       witness=witness)
+    return _cap_search(inst, "inc", window, deadline, backend)[0]
 
 
 def exponential_bound(
@@ -169,56 +214,7 @@ def exponential_bound(
     (last UNSAT, first SAT] by halving.  The log of the returned result
     shows UNSAT at cap-1 whenever cap > 0.
     """
-    return _exponential(inst, deadline, _Prober(inst, deadline, backend))
-
-
-def _exponential(inst, deadline, probe_at) -> BoundResult:
-    t0 = time.monotonic()
-    probes: list[Probe] = []
-    ceiling = single_shot_bound(inst)
-    witness = None
-
-    def done(cap):
-        return BoundResult("exp", cap, tuple(probes),
-                           time.monotonic() - t0, witness=witness)
-
-    def ask(bound):
-        nonlocal witness
-        sched, probe = probe_at(bound)
-        probes.append(probe)
-        if sched is not None:
-            witness = sched
-        return sched is not None
-
-    try:
-        if _out_of_time(deadline):
-            return done(None)
-        if ask(0):
-            return done(0)
-        lo, hi = 0, None  # lo is UNSAT; hi, once set, is SAT
-        bound = 1
-        while hi is None:
-            if _out_of_time(deadline):
-                return done(None)
-            bound = min(bound, ceiling)
-            if ask(bound):
-                hi = bound
-            elif bound == ceiling:
-                return done(None)  # unreachable for structurally valid input
-            else:
-                lo = bound
-                bound *= 2
-        while hi - lo > 1:
-            if _out_of_time(deadline):
-                return done(None)
-            mid = (lo + hi) // 2
-            if ask(mid):
-                hi = mid
-            else:
-                lo = mid
-    except SolveTimeout:
-        return done(None)
-    return done(hi)
+    return _cap_search(inst, "exp", None, deadline, backend)[0]
 
 
 def solve_with_strategy(
@@ -238,19 +234,7 @@ def solve_with_strategy(
     :func:`optimize`.
     """
     deadline = time.monotonic() + cfg.timeout
-    search = None
-    if cfg.strategy == "single":
-        t0 = time.monotonic()
-        cap = single_shot_bound(inst)
-        bound = BoundResult("single", cap, (), time.monotonic() - t0)
-    else:
-        probe_at = _Prober(inst, deadline, backend)
-        if cfg.strategy == "inc":
-            bound = _incremental(inst, cfg.window, deadline, probe_at)
-        else:
-            bound = _exponential(inst, deadline, probe_at)
-        search = probe_at.search
-
+    bound, search = _cap_search(inst, cfg.strategy, cfg.window, deadline, backend)
     if bound.cap is None:
         return SolveReport(bound, None, None, False)
 

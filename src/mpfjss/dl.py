@@ -50,9 +50,13 @@ def default_backend() -> str:
     return AVAILABLE_BACKENDS[0]
 
 
+def _resolve(backend: str | None) -> str:
+    return backend if backend not in (None, "auto") else default_backend()
+
+
 def make_kernel(backend: str | None = None):
     """Instantiate a raw kernel; `backend` is `pure`, `compiled` or None (auto)."""
-    name = backend if backend not in (None, "auto") else default_backend()
+    name = _resolve(backend)
     if name == "pure":
         return _dl_pure.DiffKernel()
     if name == "compiled":
@@ -89,14 +93,14 @@ class DLEngine:
     """Incremental satisfiability of difference constraints with backtracking."""
 
     def __init__(self, backend: str | None = None):
-        self._kern = make_kernel(backend)
-        self._backend = "compiled" if type(self._kern).__module__.endswith("_dl_core") else "pure"
+        self._backend = _resolve(backend)
+        self._kern = make_kernel(self._backend)
         self.zero = DLVar(-1, "zero")
         self._vars: list[DLVar] = [self.zero]
-        self.last_conflict: DLConflict | None = None
 
     @property
     def backend(self) -> str:
+        """The backend asked for, with None resolved to the default."""
         return self._backend
 
     @property
@@ -131,9 +135,7 @@ class DLEngine:
         for eid in self._kern.conflict():
             u, v, w = self._kern.edge(eid)
             cons.append(DLConstraint(self._vars[v], self._vars[u], w))
-        conflict = DLConflict(tuple(cons), sum(c.k for c in cons))
-        self.last_conflict = conflict
-        return conflict
+        return DLConflict(tuple(cons), sum(c.k for c in cons))
 
     def push(self) -> None:
         self._kern.push()

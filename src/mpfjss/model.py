@@ -283,28 +283,27 @@ def _find_cycle(nodes: set[str], edges: set[tuple[str, str]]) -> list[str] | Non
     succ: dict[str, list[str]] = {n: [] for n in nodes}
     for a, b in sorted(edges):
         succ.setdefault(a, []).append(b)
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(n: str) -> list[str] | None:
-        state[n] = 1
-        stack.append(n)
-        for m in succ.get(n, ()):
-            if state.get(m, 0) == 1:
-                return stack[stack.index(m):] + [m]
-            if state.get(m, 0) == 0:
-                found = visit(m)
-                if found:
-                    return found
-        stack.pop()
-        state[n] = 2
-        return None
-
-    for n in sorted(succ):
-        if state.get(n, 0) == 0:
-            found = visit(n)
-            if found:
-                return found
+    state: dict[str, int] = {}  # 1 while on the path, 2 once finished
+    for root in sorted(succ):
+        if root in state:
+            continue
+        # depth-first with an explicit stack, so long chains cannot exhaust
+        # the interpreter's recursion limit
+        state[root] = 1
+        path = [root]
+        pending = [iter(succ[root])]
+        while pending:
+            for m in pending[-1]:
+                if state.get(m) == 1:
+                    return path[path.index(m):] + [m]
+                if m not in state:
+                    state[m] = 1
+                    path.append(m)
+                    pending.append(iter(succ.get(m, ())))
+                    break
+            else:
+                pending.pop()
+                state[path.pop()] = 2
     return None
 
 

@@ -55,12 +55,31 @@ def test_exponential_on_example(example_instance):
 
 
 def test_exponential_ladder_then_halving():
-    res = exponential_bound(OVERDUE)
-    assert res.cap == 7
-    assert probe_pairs(res) == [
-        (0, False), (1, False), (2, False), (4, False),
-        (8, True), (6, False), (7, True),
+    # in the last two cases the ladder passes the sum of durations, which
+    # clips its last rung
+    cases = [
+        (OVERDUE, 7, [
+            (0, False), (1, False), (2, False), (4, False),
+            (8, True), (6, False), (7, True),
+        ]),
+        (parse_instance(
+            "op(a,10). needs(a,w). res(w,1,a). job(j,0). recipe(j,a)."
+        ), 10, [
+            (0, False), (1, False), (2, False), (4, False), (8, False),
+            (10, True), (9, False),
+        ]),
+        (parse_instance(
+            "op(a,5). op(b,6). needs(a,w). needs(b,w). res(w,1,a). res(w,1,b)."
+            " job(j,0). recipe(j,a). recipe(j,b). prec(j,a,b)."
+        ), 11, [
+            (0, False), (1, False), (2, False), (4, False), (8, False),
+            (11, True), (9, False), (10, False),
+        ]),
     ]
+    for inst, cap, pairs in cases:
+        res = exponential_bound(inst)
+        assert res.cap == cap
+        assert probe_pairs(res) == pairs
 
 
 def test_exponential_zero_feasible():

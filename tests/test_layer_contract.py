@@ -1,0 +1,77 @@
+"""The layer boundaries that a per-layer tracer wraps from outside the package.
+
+The solve benchmark counts the calls that cross each layer by replacing
+module attributes: ``mpfjss.bounds.decide`` and ``mpfjss.bounds.optimize``,
+``mpfjss.solver.validate_instance``, ``mpfjss.dl.make_kernel``, and the
+``time`` module of ``bounds`` and ``solver``.  The package must look these
+names up when it calls them; a caller that binds one at import time would
+make its count read 0 without failing anything else.
+"""
+
+import collections
+import dataclasses
+import types
+
+from mpfjss import GenParams, StrategyConfig, bounds, dl, generate, solve_with_strategy, solver
+
+
+def test_layer_boundaries_are_looked_up_when_called(monkeypatch, example_instance):
+    counts = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((bounds, "decide"), (bounds, "optimize"),
+                        (solver, "validate_instance"), (dl, "make_kernel")):
+        count(owner, name)
+    init = solver._Search.__init__
+
+    def built(self, *args, **kwargs):
+        counts["search"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._Search, "__init__", built)
+    # as under the tracer, only the search's step checks move the clock, by a
+    # fixed step, so budgets become fixed amounts of work and the counts
+    # below repeat on any machine
+    now = [0.0]
+
+    def tick():
+        now[0] += 1 / 64
+        return now[0]
+
+    monkeypatch.setattr(solver, "time", types.SimpleNamespace(monotonic=tick))
+    monkeypatch.setattr(bounds, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    # an order search that has an incumbent hands it to a neighbourhood
+    # search at its first step check, so each optimize builds a second search
+    monkeypatch.setattr(solver, "STALL_STEPS", 0)
+
+    day = generate(dataclasses.replace(GenParams(), jobs=(10, 10)), 1)
+    hard = generate(dataclasses.replace(GenParams(), jobs=(15, 15)), 5)
+    runs = [
+        (example_instance, StrategyConfig(strategy="exp"), 2),
+        (example_instance, StrategyConfig(strategy="inc"), 2),
+        (example_instance, StrategyConfig(strategy="single"), 2),
+        (day, StrategyConfig(strategy="exp", timeout=0.25), 2),
+        (day, StrategyConfig(strategy="inc", timeout=0.25), 2),
+        # a probe's first step check passes this deadline
+        (hard, StrategyConfig(strategy="exp", timeout=1 / 128), 1),
+    ]
+    verdicts = set()
+    for inst, cfg, searches in runs:
+        counts.clear()
+        report = solve_with_strategy(inst, cfg)
+        verdicts.add(report.verdict())
+        # the log leaves out a probe that the deadline cut short
+        cut = report.bound.cap is None
+        assert counts["decide"] == len(report.bound.probes) + cut
+        assert counts["optimize"] == (report.bound.cap is not None)
+        assert counts["validate_instance"] == counts["make_kernel"] == counts["search"]
+        assert counts["search"] == searches
+    assert verdicts == {"optimal", "incumbent", "bound-not-found"}

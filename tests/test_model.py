@@ -130,6 +130,39 @@ def test_two_fact_precedence_cycle():
     assert "cyclic precedence in job j1" in str(exc.value)
 
 
+def _chain_text(n: int) -> str:
+    ops = [f"o{i}" for i in range(n)]
+    facts = ["job(j,0)."]
+    for o in ops:
+        facts += [f"op({o},1).", f"needs({o},w).", f"res(w,1,{o}).", f"recipe(j,{o})."]
+    facts += [f"prec(j,{a},{b})." for a, b in zip(ops, ops[1:])]
+    return "\n".join(facts) + "\n"
+
+
+def test_long_precedence_chain_loads():
+    # a chain far deeper than the interpreter's recursion limit
+    n = 2000
+    text = _chain_text(n)
+    inst = parse_instance(text)
+    assert len(inst.jobs[0].precedence) == n - 1
+    assert validate_instance(inst) == []
+    import json
+
+    assert loads_instance(json.dumps(instance_to_json(inst))) == inst
+
+    closed = text + f"prec(j,o{n - 1},o0).\n"
+    with pytest.raises(SemanticError) as exc:
+        parse_instance(closed)
+    assert "cyclic precedence in job j" in str(exc.value)
+    obj = instance_to_json(inst)
+    obj["jobs"][0]["precedence"].append([f"o{n - 1}", "o0"])
+    with pytest.raises(SemanticError):
+        instance_from_json(obj)
+    job = dataclasses.replace(inst.jobs[0], precedence=inst.jobs[0].precedence | {(f"o{n - 1}", "o0")})
+    rules = {v.rule for v in validate_instance(dataclasses.replace(inst, jobs=(job,)))}
+    assert rules == {"precedence-cycle"}
+
+
 def test_fact_round_trip(example_instance):
     text = serialize_instance(example_instance)
     assert parse_instance(text) == example_instance
