@@ -46,6 +46,21 @@ whose pairs contain those of one whose order search came back empty can
 yield no schedule, nor a strictly better incumbent, and is skipped.  The
 memo holds the last ``MEMO_LEAVES`` refuted pair sets as bitmasks;
 forgetting older ones only prunes less.
+
+The order search reads the kernel's explanation of every rejected assert,
+as a CDCL solver analyses each conflict.  The kernel names the negative
+cycle that refutes the assert; the order decisions on that cycle alone rule
+out every schedule below them.  When both directions of a pair have failed,
+the search jumps back to the deepest decision that took part in either
+failure, instead of the previous one (conflict-directed backjumping:
+Prosser, Computational Intelligence 1993).  The levels it jumps over hold
+no schedule, so it visits the remaining nodes in the same order and finds
+the same schedules and incumbents as chronological backtracking, in at
+most as many steps.  A lower-bound prune and an optimize-mode leaf depend
+on the incumbent, and so on every decision above them; they stay
+chronological.  Which cycle the kernel reports depends on its potentials,
+so a solve pins them to the earliest starts at its first rejected assert:
+a reused search steps exactly as a fresh one.
 """
 
 from __future__ import annotations
@@ -109,38 +124,47 @@ def _ensure_solvable_structure(inst: Instance) -> None:
     raise UnsolvableInstanceError(blocking)
 
 
-def _closure(precedence: Iterable[tuple[str, str]]) -> set[tuple[str, str]]:
-    succ: dict[str, set[str]] = {}
-    for a, b in precedence:
-        succ.setdefault(a, set()).add(b)
-    out: set[tuple[str, str]] = set()
-
-    def reach(n: str) -> set[str]:
-        seen: set[str] = set()
-        todo = list(succ.get(n, ()))
-        while todo:
-            m = todo.pop()
-            if m not in seen:
-                seen.add(m)
-                todo.extend(succ.get(m, ()))
-        return seen
-
-    for a in succ:
-        for b in reach(a):
-            out.add((a, b))
-    return out
-
-
 def _same_job_pairs(inst: Instance) -> list[tuple[Task, Task]]:
-    """Same-job task pairs left unordered by the precedence closure."""
+    """Same-job task pairs left unordered by the precedence closure.
+
+    Each operation gets two bitmasks over its job's operations in name
+    order, the ones precedence puts before it and the ones after it, built
+    along a topological order; the unordered partners of an operation are
+    the bits in neither.  Work grows with the precedence edges times the
+    masks' words, not with the closure's pairs.
+    """
     out = []
     for j in inst.jobs:
-        rel = _closure(j.precedence)
         ops = sorted(j.operations)
+        pos = {o: i for i, o in enumerate(ops)}
+        succ: list[list[int]] = [[] for _ in ops]
+        indeg = [0] * len(ops)
+        for a, b in j.precedence:
+            succ[pos[a]].append(pos[b])
+            indeg[pos[b]] += 1
+        order = [i for i, d in enumerate(indeg) if d == 0]
+        for i in order:  # Kahn's algorithm; the list grows as it is read
+            for k in succ[i]:
+                indeg[k] -= 1
+                if indeg[k] == 0:
+                    order.append(k)
+        if len(order) < len(ops):
+            raise ValueError(f"job `{j.name}`: precedence has a cycle")
+        above = [0] * len(ops)
+        below = [0] * len(ops)
+        for i in order:
+            for k in succ[i]:
+                above[k] |= above[i] | 1 << i
+        for i in reversed(order):
+            for k in succ[i]:
+                below[i] |= below[k] | 1 << k
+        full = (1 << len(ops)) - 1
         for i, a in enumerate(ops):
-            for b in ops[i + 1:]:
-                if (a, b) not in rel and (b, a) not in rel:
-                    out.append(((j.name, a), (j.name, b)))
+            free = ~(above[i] | below[i]) & (full >> (i + 1) << (i + 1))
+            while free:
+                bit = free & -free
+                out.append(((j.name, a), (j.name, ops[bit.bit_length() - 1])))
+                free ^= bit
     return sorted(out)
 
 
@@ -213,7 +237,7 @@ class _Search:
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
         "cap", "optimizing", "deadline", "rng", "_ticks", "_stall_mark",
-        "best_t", "best", "alloc", "load", "on_key", "refuted",
+        "best_t", "best", "alloc", "load", "on_key", "refuted", "pinned",
     )
 
     def __init__(
@@ -309,6 +333,7 @@ class _Search:
         self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
         if not self.base_ok or _definitely_unsat(self.inst, cap):
             return None
+        self.pinned = False  # see :meth:`_pin_potentials`
         kern = self.kern
         kern.push()
         try:
@@ -447,6 +472,31 @@ class _Search:
         finally:
             if nb.best_t < self.best_t:
                 self.best, self.best_t = nb.best, nb.best_t
+
+    def _pin_potentials(self) -> None:
+        """Pin the kernel's potentials to the current earliest starts.
+
+        Which negative cycle the kernel reports for a rejected assert
+        depends on its potentials: a feasible valuation that every assert
+        lowers only as far as the new edge needs, and that ``pop`` keeps,
+        so they carry traces of every solve this search ran before.
+        Nothing else a solve observes depends on them.  At the first
+        rejected assert of a solve, the order search therefore asserts
+        ``start <= earliest start`` for every task on a pushed level, which
+        the earliest schedule satisfies.  That lowers each potential to
+        exactly the origin's plus the earliest start, whatever came before,
+        and popping keeps them there.  The rejected assert is then made
+        again.  So the conflict sets, jumps and step counts of a solve do
+        not depend on the solves before it, and a solve with no rejected
+        assert pays nothing.
+        """
+        kern = self.kern
+        kern.push()
+        for n, start in enumerate(kern.earliest_all()):
+            if n:
+                kern.assert_edge(0, n, start)
+        kern.pop()
+        self.pinned = True
 
     def _lb(self) -> int:
         """Total tardiness of the earliest starts in ``self.low``.
@@ -637,11 +687,49 @@ class _Search:
             return True
         return self._lb() < self.best_t
 
+    def _cycle_levels(self, k: int, base_edges: int) -> int:
+        """The levels whose edges close the cycle that rejected level ``k``'s assert.
+
+        Returned as a bitmask, bit ``i`` for level ``i``.  Level ``i`` of the
+        order search asserted edge ``base_edges + i``; lower edge ids belong
+        to the base, the cap or the kept order, which no level of this search
+        can undo.
+        """
+        mask = 0
+        for e in self.kern.conflict():
+            if e >= base_edges:
+                mask |= 1 << (e - base_edges)
+        return mask
+
     def _order_dfs(self, pairs: set[tuple[Task, Task]]) -> Schedule | None:
+        """Direct every pair of a complete allocation, by conflict-directed backjumping.
+
+        Level ``k`` of the search directs one pair and holds exactly one
+        asserted edge, ``base_edges + k``.  Each level keeps a conflict set,
+        a bitmask of the lower levels that explain why its directions
+        failed.  A direction the kernel rejects adds the levels of the
+        negative cycle that ``conflict()`` names, since those decisions alone
+        already rule out every schedule below.  When both directions of
+        level ``k`` have failed, every schedule that keeps the decisions of
+        its conflict set is ruled out, since a schedule orders the pair one
+        way or the other.  The search therefore pops back to the deepest
+        level ``h`` of that set, leaving the levels between untried because
+        their decisions took no part in the failure, and merges the rest of
+        the set into ``h``'s.  An empty set refutes the allocation.  This is
+        Prosser's conflict-directed backjumping (Computational Intelligence,
+        1993).
+
+        A ``_promising`` prune and an optimize-mode leaf blame every level
+        below them: both compare with ``best_t``, which depends on every
+        decision so far.  Only subtrees that cycles prove empty are skipped,
+        and the rest are visited in the same order, so every result and
+        incumbent is the one chronological backtracking would find.
+        """
         kern = self.kern
         base = kern.level()
+        base_edges = kern.num_edges()
         remaining = set(pairs)
-        frames: list[list] = []  # per directed pair: [pair, directions left]
+        frames: list[list] = []  # per level: [pair, directions left, conflict set]
         self.low = kern.earliest_all()
         while True:
             if len(frames) == len(pairs):
@@ -652,30 +740,47 @@ class _Search:
                     return res
                 if not frames:
                     return None
+                frames[-1][2] |= (1 << (len(frames) - 1)) - 1
                 kern.pop()
             else:
                 pair, dirs = self._pick_pair(remaining)
                 remaining.discard(pair)
-                frames.append([pair, dirs])
+                frames.append([pair, dirs, 0])
             while True:
                 self._tick()
-                dirs = frames[-1][1]
+                k = len(frames) - 1
+                frame = frames[k]
+                dirs = frame[1]
                 advanced = False
                 while dirs:
                     a, b = dirs.pop(0)
                     kern.push()
-                    if self._assert_before(a, b):
+                    if not self._assert_before(a, b):
+                        if not self.pinned:
+                            self._pin_potentials()
+                            self._assert_before(a, b)  # rejected again
+                        frame[2] |= self._cycle_levels(k, base_edges)
+                    else:
                         self.low = kern.earliest_all()
                         if self._promising():
                             advanced = True
                             break
+                        frame[2] |= (1 << k) - 1
                     kern.pop()
                 if advanced:
                     break
-                remaining.add(frames.pop()[0])
-                if not frames:
+                culprits = frame[2]
+                if not culprits:
+                    while kern.level() > base:
+                        kern.pop()
                     return None
-                kern.pop()
+                h = culprits.bit_length() - 1
+                for dropped in frames[h + 1:]:
+                    remaining.add(dropped[0])
+                del frames[h + 1:]
+                while kern.level() > base + h:
+                    kern.pop()
+                frames[h][2] |= culprits ^ (1 << h)
 
     def _order_leaf(self) -> Schedule | None:
         if not self.optimizing:

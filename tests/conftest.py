@@ -1,8 +1,52 @@
+import importlib.machinery
+import importlib.util
 import pathlib
+import shutil
+import subprocess
+import sys
+import sysconfig
+import tempfile
 
-import pytest
 
-from mpfjss.model import load_instance, parse_instance
+def _build_compiled_kernel():
+    """Compile the shipped ``_dl_core.cpp`` for this test session, if need be.
+
+    The extension is built into a temporary directory and registered as
+    ``mpfjss._dl_core`` before ``mpfjss`` is first imported, so that the
+    tests parametrized over ``AVAILABLE_BACKENDS`` run on both kernels and
+    the compiled one is the default, as in an installed package.  Nothing is
+    written next to the sources.  Without ``g++`` or the Python headers, or
+    when the build fails, the tests run on the pure kernel alone.
+    """
+    spec = importlib.util.find_spec("mpfjss")
+    if spec is None or not spec.submodule_search_locations:
+        return
+    pkg = pathlib.Path(next(iter(spec.submodule_search_locations)))
+    if any((pkg / f"_dl_core{suffix}").exists()
+           for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        return  # already built
+    source = pkg / "_dl_core.cpp"
+    cxx = shutil.which("g++")
+    include = pathlib.Path(sysconfig.get_paths()["include"])
+    if cxx is None or not source.exists() or not (include / "Python.h").exists():
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        target = pathlib.Path(tmp) / f"_dl_core{sysconfig.get_config_var('EXT_SUFFIX')}"
+        build = subprocess.run([cxx, "-O2", "-shared", "-fPIC", f"-I{include}",
+                                str(source), "-o", str(target)], capture_output=True)
+        if build.returncode != 0:
+            return
+        ext = importlib.util.spec_from_file_location("mpfjss._dl_core", target)
+        module = importlib.util.module_from_spec(ext)
+        ext.loader.exec_module(module)
+    sys.modules["mpfjss._dl_core"] = module
+
+
+_build_compiled_kernel()
+
+import pytest  # noqa: E402
+
+from mpfjss.model import load_instance, parse_instance  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
 

@@ -8,22 +8,32 @@ call; a faster search that visits the same nodes in the same order keeps
 them, and so does one search reused for every cap on an instance.
 
 The search skips an allocation leaf whose conflict pairs contain those of a
-leaf it has already refuted in the same solve.  Each pin therefore has two
-step counts: the first is taken by ``_PlainSearch``, whose memo never
-fires, and equals the count pinned before the memo existed; the second is
-taken by the search as shipped.  Both return the same schedule.
+leaf it has already refuted in the same solve, and its order search jumps
+back over levels that took no part in a failure.  Each pin therefore has
+three step counts:
+
+* the first is taken by ``_PlainSearch``, which backtracks chronologically
+  and whose memo never fires, and equals the count pinned before the memo
+  existed;
+* the second by ``_ChronoSearch``, which keeps the memo but backtracks
+  chronologically, and equals the count pinned before backjumping existed;
+* the third by the search as shipped.
+
+All three return the same schedule.
 """
 
 import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from mpfjss import GenParams, generate, load_instance
 from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.schedule import build_schedule, schedule_to_json
+from mpfjss.validate import check_schedule
 from mpfjss.solver import (
     MEMO_LEAVES,
     SolveTimeout,
@@ -39,36 +49,45 @@ from conftest import DATA, random_tiny_instance
 SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
                  durations=(2, 6), shift=40)
 
-# (instance, mode, cap, plain steps, memo steps, total tardiness, schedule
-# digest); an instance is "example" or (generator, jobs, seed, partial_order)
+# (instance, mode, cap, plain steps, memo steps, backjump steps, total
+# tardiness, schedule digest); an instance is "example" or (generator, jobs,
+# seed, partial_order)
 PINNED = [
-    ("example", "decide", 0, 0, 0, None, None),
-    ("example", "decide", 1, 145, 145, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 1, 2554, 1447, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 3, 3605, 1941, 1, "c11bb8a35b520c9b"),
-    (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, None, None),
-    (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 6, "09c9453ba71f6438"),
-    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 6, "09c9453ba71f6438"),
-    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 14, "84455d75f04c0725"),
-    (("day", 3, 2, 0.0), "decide", 52, 31, 31, 52, "e55e3749abe578af"),
-    (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 52, "e55e3749abe578af"),
-    (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 12, "430a7411b012e420"),
-    (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 8, "25f9a1428eca09d7"),
-    (("day", 5, 3, 0.5), "decide", 25, 41, 41, 25, "d7a4e2135e40e51a"),
-    (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 25, "d7a4e2135e40e51a"),
-    (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 2, "0e501a7a6d112d25"),
-    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 1, "5f2a96a708c922b5"),
-    (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 13, "4eab8513cb55fd44"),
-    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 5, "14cf9e76dae2bd4e"),
-    (("day", 10, 2, 0.5), "decide", 40, 116, 116, 111, "85f55a707007abc7"),
-    (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 66, "6a30113a3a8e1dd7"),
+    ("example", "decide", 0, 0, 0, 0, None, None),
+    ("example", "decide", 1, 145, 145, 121, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 1, 2554, 1447, 1423, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 3, 3605, 1941, 1941, 1, "c11bb8a35b520c9b"),
+    (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, 2147, None, None),
+    (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 270, 6, "09c9453ba71f6438"),
+    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 2171, 6, "09c9453ba71f6438"),
+    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 1193, 14, "84455d75f04c0725"),
+    (("day", 3, 2, 0.0), "decide", 52, 31, 31, 31, 52, "e55e3749abe578af"),
+    (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 31, 52, "e55e3749abe578af"),
+    (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 191, 12, "430a7411b012e420"),
+    (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 319, 8, "25f9a1428eca09d7"),
+    (("day", 5, 3, 0.5), "decide", 25, 41, 41, 41, 25, "d7a4e2135e40e51a"),
+    (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 41, 25, "d7a4e2135e40e51a"),
+    (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 216, 2, "0e501a7a6d112d25"),
+    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 217, 1, "5f2a96a708c922b5"),
+    (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 155, 13, "4eab8513cb55fd44"),
+    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 2311, 5, "14cf9e76dae2bd4e"),
+    (("day", 10, 2, 0.5), "decide", 40, 116, 116, 116, 111, "85f55a707007abc7"),
+    (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 79, 66, "6a30113a3a8e1dd7"),
 ]
-PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, t, d in PINNED]
-MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, t, d in PINNED]
+PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, _, t, d in PINNED]
+MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, _, t, d in PINNED]
+JUMP_PINS = [(k, m, c, jump, t, d) for k, m, c, _, _, jump, t, d in PINNED]
 
 
-class _PlainSearch(_Search):
-    """The search with a memo that never fires: every leaf is order-searched."""
+class _ChronoSearch(_Search):
+    """The search without backjumping: a failure blames every level above it."""
+
+    def _cycle_levels(self, k, base_edges):
+        return (1 << k) - 1
+
+
+class _PlainSearch(_ChronoSearch):
+    """The chronological search with a memo that never fires."""
 
     def _covered(self, mask):
         return False
@@ -117,6 +136,14 @@ def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, dige
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", MEMO_PINS)
 def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
+    search = _ChronoSearch(_instance(key), backend=backend)
+    sched = _run(search, cap, mode == "optimize")
+    _check_pin(search, sched, steps, total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", JUMP_PINS)
+def test_backjump_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
     search = _Search(_instance(key), backend=backend)
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
@@ -127,7 +154,8 @@ def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total,
                          ids=lambda k: k if isinstance(k, str) else "-".join(map(str, k)))
 def test_one_search_replays_every_pin(backend, key):
     """Every pinned cap of an instance, forward then backward, on one search."""
-    for cls, pins in ((_PlainSearch, PLAIN_PINS), (_Search, MEMO_PINS)):
+    for cls, pins in ((_PlainSearch, PLAIN_PINS), (_ChronoSearch, MEMO_PINS),
+                      (_Search, JUMP_PINS)):
         rows = [row[1:] for row in pins if row[0] == key]
         search = cls(_instance(key), backend=backend)
         for mode, cap, steps, total, digest in rows + rows[::-1]:
@@ -140,9 +168,10 @@ def test_search_is_reusable_after_abnormal_exit():
     key = ("shop", 10, 2, 0.0)
     inst = _instance(key)
     search = _Search(inst)
-    # a passed deadline strikes at the first clock read, 256 steps in
+    # a passed deadline strikes at the first clock read, 256 steps into a
+    # search of 1669 steps
     with pytest.raises(SolveTimeout):
-        search.solve(1, optimizing=True, deadline=0.0)
+        search.solve(3, optimizing=True, deadline=0.0)
     assert search._ticks == 256
     assert search.kern.level() == search.base_level
     # the optimum under cap 1 meets the root lower bound
@@ -171,16 +200,21 @@ class _CheckedSearch(_Search):
     ``conflict_pairs``; at every leaf the memo skips, that the leaf's mask
     encodes exactly those pairs and contains a refuted leaf's mask, and
     that the pairs contain those of a leaf whose order search ran to its
-    end.  It gives up after a fixed number of steps, so that large random
+    end.  At every assert the order search rejects, it checks that the
+    ``conflict()`` edges and the rejected edge close a cycle of negative
+    weight, and that each of the cycle's levels asserted the edge the cycle
+    names.  It gives up after a fixed number of steps, so that large random
     instances stay cheap and the test does the same work on every run.
     """
 
     STEPS = 3000
-    nodes = leaves = skips = 0
+    nodes = leaves = skips = rejects = 0
+    level_base = None  # the kernel level an order search starts from, inside one
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.explored = []  # pair sets whose order search returned None
+        self.asserted = {}  # order-search level -> the edge it asserted last
 
     def _tick(self):
         super()._tick()
@@ -210,10 +244,42 @@ class _CheckedSearch(_Search):
         return True
 
     def _order_dfs(self, pairs):
-        res = super()._order_dfs(pairs)
+        self.level_base, self.edge_base = self.kern.level(), self.kern.num_edges()
+        try:
+            res = super()._order_dfs(pairs)
+        finally:
+            self.level_base = None
         if res is None:
             self.explored.append(frozenset(pairs))
         return res
+
+    def _assert_before(self, a, b):
+        self.tried = (self.node[b], self.node[a], -self.dur[a])
+        ok = super()._assert_before(a, b)
+        if ok and self.level_base is not None:
+            level = self.kern.level() - self.level_base - 1
+            eid = self.kern.num_edges() - 1
+            assert eid == self.edge_base + level
+            assert self.kern.edge(eid) == self.tried
+            self.asserted[level] = self.tried
+        return ok
+
+    def _cycle_levels(self, k, base_edges):
+        kern = self.kern
+        assert (k, base_edges) == (kern.level() - self.level_base - 1, self.edge_base)
+        ids = kern.conflict()
+        assert len(set(ids)) == len(ids) and all(0 <= e < kern.num_edges() for e in ids)
+        cycle = [kern.edge(e) for e in ids] + [self.tried]
+        assert sum(w for _, _, w in cycle) < 0
+        # closed: every node is left as often as it is entered
+        assert Counter(u for u, _, _ in cycle) == Counter(v for _, v, _ in cycle)
+        mask = super()._cycle_levels(k, base_edges)
+        levels = [e - base_edges for e in ids if e >= base_edges]
+        assert mask == sum(1 << level for level in levels) and mask < 1 << k
+        for level in levels:
+            assert kern.edge(base_edges + level) == self.asserted[level]
+        self.rejects += 1
+        return mask
 
     def _pick_pair(self, remaining):
         assert self._lb() == self._full_lb()
@@ -236,7 +302,7 @@ def _random_instances():
 
 
 def test_search_shortcuts_match_facade_recomputation():
-    nodes = leaves = skips = 0
+    nodes = leaves = skips = rejects = 0
     for inst in _random_instances():
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap, optimizing in ((serial, False), (serial, True), (serial // 4, True)):
@@ -248,8 +314,9 @@ def test_search_shortcuts_match_facade_recomputation():
             nodes += search.nodes
             leaves += search.leaves
             skips += search.skips
+            rejects += search.rejects
     # a skipped leaf is checked too, so it counts as one
-    assert nodes > 10_000 and leaves > 200 and skips > 0
+    assert nodes > 10_000 and leaves > 200 and skips > 0 and rejects > 1000
 
 
 # -- the leaf memo ----------------------------------------------------------
@@ -273,6 +340,58 @@ def test_memo_changes_no_result(symmetry_breaking):
                 memo_steps += memo._ticks
                 plain_steps += plain._ticks
     assert memo_steps < plain_steps
+
+
+# -- backjumping ------------------------------------------------------------
+
+@pytest.mark.parametrize("symmetry_breaking", [True, False])
+def test_backjumping_changes_no_result(symmetry_breaking):
+    rng = random.Random(78)
+    jump_steps = chrono_steps = 0
+    for _ in range(25):
+        inst = random_tiny_instance(rng)
+        serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
+        for cap in sorted({0, 1, 3, serial // 2, serial}):
+            for optimizing in (False, True):
+                jump = _Search(inst, symmetry_breaking=symmetry_breaking)
+                chrono = _ChronoSearch(inst, symmetry_breaking=symmetry_breaking)
+                got = _run(jump, cap, optimizing)
+                want = _run(chrono, cap, optimizing)
+                assert (got and (got.total_tardiness, _digest(got))) == \
+                    (want and (want.total_tardiness, _digest(want)))
+                assert jump._ticks <= chrono._ticks
+                jump_steps += jump._ticks
+                chrono_steps += chrono._ticks
+    assert jump_steps < chrono_steps
+
+
+def _step_capped(cls, steps):
+    """``cls`` with a search that gives up past ``steps`` steps."""
+
+    class StepCapped(cls):
+        def _tick(self):
+            super()._tick()
+            if self._ticks > steps:
+                raise SolveTimeout("step budget spent")
+
+    return StepCapped
+
+
+def test_backjumping_finds_caps_the_chronological_search_cannot():
+    """The 30-job day n30s03 at caps where chronological search stalls.
+
+    Chronological backtracking spends 5000 steps without finding a schedule;
+    backjumping finds one within them (in 443 to 703 steps when measured).
+    """
+    day = generate(GenParams(jobs=(30, 30)), 3)
+    jump = _step_capped(_Search, 5000)(day)
+    chrono = _step_capped(_ChronoSearch, 5000)(day)
+    for cap in (56, 64, 80):
+        sched = jump.solve(cap)
+        assert sched is not None and check_schedule(day, sched) == []
+        assert max(sched.tardiness.values()) <= cap
+        with pytest.raises(SolveTimeout):
+            chrono.solve(cap)
 
 
 class _CutMidLeaf(_Search):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -8,6 +9,7 @@ from mpfjss.oracle import brute_force_min_cap, brute_force_optimal
 from mpfjss.solver import (
     SolveTimeout,
     UnsolvableInstanceError,
+    _same_job_pairs,
     conflict_pairs,
     decide,
     optimize,
@@ -15,6 +17,7 @@ from mpfjss.solver import (
 )
 from mpfjss.validate import check_schedule, total_tardiness
 
+from test_model import _chain_text
 from test_validator import ALLOC, STARTS_A
 
 
@@ -144,6 +147,62 @@ def test_conflict_pairs_disjoint_jobs():
     assert pairs == set()
     shared = conflict_pairs(inst, {("j1", "a"): {"w": 1}, ("j2", "a"): {"w": 1}})
     assert shared == {(("j1", "a"), ("j2", "a"))}
+
+
+def _closure_pairs(inst):
+    """Same-job pairs outside the transitive closure of precedence, pair by pair."""
+    out = []
+    for j in inst.jobs:
+        succ = {}
+        for a, b in j.precedence:
+            succ.setdefault(a, set()).add(b)
+        rel = set()
+        for a in succ:
+            todo = list(succ[a])
+            while todo:
+                b = todo.pop()
+                if (a, b) not in rel:
+                    rel.add((a, b))
+                    todo.extend(succ.get(b, ()))
+        ops = sorted(j.operations)
+        for i, a in enumerate(ops):
+            for b in ops[i + 1:]:
+                if (a, b) not in rel and (b, a) not in rel:
+                    out.append(((j.name, a), (j.name, b)))
+    return sorted(out)
+
+
+def _random_partial_orders(rng):
+    """Up to three jobs over up to 14 operations, each ordered by a random DAG."""
+    ops = [f"o{i}" for i in range(14)]
+    lines = [f"op({o},1). needs({o},w). res(w,1,{o})." for o in ops]
+    density = rng.choice((0.0, 0.1, 0.3, 0.6))
+    for nj in range(1, rng.randint(1, 3) + 1):
+        # a random topological order, unrelated to the name order
+        order = rng.sample(ops, rng.randint(1, len(ops)))
+        lines.append(f"job(j{nj},5).")
+        lines += [f"recipe(j{nj},{o})." for o in order]
+        for i, a in enumerate(order):
+            for b in order[i + 1:]:
+                if rng.random() < density:
+                    lines.append(f"prec(j{nj},{a},{b}).")
+    return "\n".join(lines)
+
+
+def test_same_job_pairs_match_the_closure_definition():
+    rng = random.Random(11)
+    for _ in range(200):
+        inst = parse_instance(_random_partial_orders(rng))
+        assert _same_job_pairs(inst) == _closure_pairs(inst)
+
+
+def test_same_job_pairs_of_a_long_chain():
+    inst = parse_instance(_chain_text(2000))
+    assert _same_job_pairs(inst) == []
+    job = inst.jobs[0]
+    cyclic = dataclasses.replace(job, precedence=job.precedence | {("o1999", "o0")})
+    with pytest.raises(ValueError):
+        _same_job_pairs(dataclasses.replace(inst, jobs=(cyclic,)))
 
 
 def test_start_times_chain():
