@@ -65,7 +65,7 @@ class StrategyConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.window < 1:
             raise ValueError("window must be at least 1")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # NaN too
             raise ValueError("timeout must be positive")
 
 
@@ -111,8 +111,8 @@ def single_shot_bound(inst: Instance) -> int:
 class _Probes:
     """The probes of one cap search: its deadline, its search and its log."""
 
-    def __init__(self, inst: Instance, deadline: float | None, backend: str | None):
-        self.inst, self.deadline, self.backend = inst, deadline, backend
+    def __init__(self, inst: Instance, deadline: float | None):
+        self.inst, self.deadline = inst, deadline
         self.search: _Search | None = None
         self.log: list[Probe] = []
         self.witness: Schedule | None = None
@@ -123,7 +123,7 @@ class _Probes:
         if self.deadline is not None and t0 >= self.deadline:
             raise SolveTimeout("cap search deadline passed")
         if self.search is None:
-            self.search = _Search(self.inst, backend=self.backend)
+            self.search = _Search(self.inst)
         sched = decide(self.inst, bound, deadline=self.deadline, search=self.search)
         self.log.append(Probe(bound, sched is not None, time.monotonic() - t0))
         if sched is not None:
@@ -166,14 +166,13 @@ def _cap_search(
     strategy: str,
     window: int | None,
     deadline: float | None,
-    backend: str | None,
 ) -> tuple[BoundResult, _Search | None]:
     """The cap search of ``strategy`` and the search its probes built, if any.
 
     A timeout anywhere in it leaves the cap None.
     """
     t0 = time.monotonic()
-    probes = _Probes(inst, deadline, backend)
+    probes = _Probes(inst, deadline)
     try:
         if strategy == "single":
             cap = single_shot_bound(inst)
@@ -193,20 +192,14 @@ def incremental_bound(
     window: int = 20,
     *,
     deadline: float | None = None,
-    backend: str | None = None,
 ) -> BoundResult:
     """Probe caps 0, window, 2*window, ... and stop at the first SAT."""
     if window < 1:
         raise ValueError("window must be at least 1")
-    return _cap_search(inst, "inc", window, deadline, backend)[0]
+    return _cap_search(inst, "inc", window, deadline)[0]
 
 
-def exponential_bound(
-    inst: Instance,
-    *,
-    deadline: float | None = None,
-    backend: str | None = None,
-) -> BoundResult:
+def exponential_bound(inst: Instance, *, deadline: float | None = None) -> BoundResult:
     """Find the smallest satisfiable cap by doubling, then binary search.
 
     Probes 0, 1, 2, 4, ... (clipped to the sum of durations, which is
@@ -214,15 +207,10 @@ def exponential_bound(
     (last UNSAT, first SAT] by halving.  The log of the returned result
     shows UNSAT at cap-1 whenever cap > 0.
     """
-    return _cap_search(inst, "exp", None, deadline, backend)[0]
+    return _cap_search(inst, "exp", None, deadline)[0]
 
 
-def solve_with_strategy(
-    inst: Instance,
-    cfg: StrategyConfig,
-    *,
-    backend: str | None = None,
-) -> SolveReport:
+def solve_with_strategy(inst: Instance, cfg: StrategyConfig) -> SolveReport:
     """Run the configured cap search, then optimize under the found cap.
 
     Both phases share one wall-clock budget of cfg.timeout seconds.  A
@@ -234,13 +222,13 @@ def solve_with_strategy(
     :func:`optimize`.
     """
     deadline = time.monotonic() + cfg.timeout
-    bound, search = _cap_search(inst, cfg.strategy, cfg.window, deadline, backend)
+    bound, search = _cap_search(inst, cfg.strategy, cfg.window, deadline)
     if bound.cap is None:
         return SolveReport(bound, None, None, False)
 
     t0 = time.monotonic()
-    res = optimize(inst, bound.cap, deadline=deadline, backend=backend,
-                   search=search, incumbent=bound.witness, seed=cfg.seed)
+    res = optimize(inst, bound.cap, deadline=deadline, search=search,
+                   incumbent=bound.witness, seed=cfg.seed)
     bound = dataclasses.replace(bound, opt_seconds=time.monotonic() - t0)
     sched = res.schedule
     total = None if sched is None else sched.total_tardiness

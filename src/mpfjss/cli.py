@@ -21,7 +21,6 @@ from .bounds import (
     report_to_json,
     solve_with_strategy,
 )
-from .dl import AVAILABLE_BACKENDS
 from .generate import GenParams, generate, split_day
 from .model import InstanceError, load_instance, save_instance
 from .schedule import schedule_from_json
@@ -55,10 +54,10 @@ def cmd_solve(args) -> int:
         inst = load_instance(args.instance)
     except (OSError, InstanceError) as exc:
         return _fail(str(exc), EXIT_PARSE)
-    cfg = StrategyConfig(strategy=args.strategy, window=args.window,
-                         timeout=args.timeout, seed=args.seed)
     try:
-        report = solve_with_strategy(inst, cfg, backend=args.backend)
+        cfg = StrategyConfig(strategy=args.strategy, window=args.window,
+                             timeout=args.timeout, seed=args.seed)
+        report = solve_with_strategy(inst, cfg)
     except UnsolvableInstanceError as exc:
         return _fail(str(exc), EXIT_UNSOLVABLE)
     except ValueError as exc:
@@ -94,29 +93,32 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)
-    outdir = Path(args.output or "instances")
-    outdir.mkdir(parents=True, exist_ok=True)
     suffix = ".json" if args.format == "json" else ".lp"
     day_width = max(2, len(str(args.days)))
-    written = 0
+    files = []  # (file name, instance), all made before any is written
     for day in range(1, args.days + 1):
         inst = generate(params, args.seed + day - 1)
         stem = f"day{day:0{day_width}d}"
-        save_instance(inst, outdir / f"{stem}{suffix}")
-        written += 1
+        files.append((f"{stem}{suffix}", inst))
         if args.split:
+            try:
+                parts = split_day(inst, args.split)[:-1]
+            except ValueError as exc:
+                return _fail(f"--split: {exc}", EXIT_PARSE)
             job_width = max(2, len(str(len(inst.jobs))))
-            for part in split_day(inst, args.split)[:-1]:
-                name = f"{stem}_j{len(part.jobs):0{job_width}d}{suffix}"
-                save_instance(part, outdir / name)
-                written += 1
-    print(f"wrote {written} instance files to {outdir}")
+            for part in parts:
+                files.append((f"{stem}_j{len(part.jobs):0{job_width}d}{suffix}", part))
+    outdir = Path(args.output or "instances")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, inst in files:
+        save_instance(inst, outdir / name)
+    print(f"wrote {len(files)} instance files to {outdir}")
     return EXIT_OK
 
 
-def _bench_record(work: tuple[str, str, int, float, str | None]) -> tuple[dict, str | None]:
+def _bench_record(work: tuple[str, str, int, float]) -> tuple[dict, str | None]:
     """One bench row, and for an ``error`` row the exception that caused it."""
-    path, strategy, window, timeout, backend = work
+    path, strategy, window, timeout = work
     record = dict.fromkeys(CSV_COLUMNS)
     record.update(instance=Path(path).stem, jobs=0, strategy=strategy,
                   verdict="error")
@@ -127,7 +129,7 @@ def _bench_record(work: tuple[str, str, int, float, str | None]) -> tuple[dict, 
     record["jobs"] = len(inst.jobs)
     cfg = StrategyConfig(strategy=strategy, window=window, timeout=timeout)
     try:
-        report = solve_with_strategy(inst, cfg, backend=backend)
+        report = solve_with_strategy(inst, cfg)
     except Exception as exc:  # one bad instance must not abort the sweep
         return record, f"{type(exc).__name__}: {exc}"
     record.update(
@@ -144,10 +146,13 @@ def cmd_bench(args) -> int:
     root = Path(args.directory)
     if not root.is_dir():
         return _fail(f"{root} is not a directory", EXIT_FAILURE)
+    try:  # once, before the sweep; the strategy is one of argparse's choices
+        StrategyConfig(window=args.window, timeout=args.timeout)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_PARSE)
     strategies = args.strategy or ["exp"]
     paths = sorted(p for p in root.iterdir() if p.suffix in (".lp", ".json"))
-    work = [(str(p), s, args.window, args.timeout, args.backend)
-            for p in paths for s in strategies]
+    work = [(str(p), s, args.window, args.timeout) for p in paths for s in strategies]
     if args.jobs > 1 and work:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_bench_record, work))
@@ -189,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seed", type=int, default=None,
                        help="seed for the jobs that the optimizer's neighbourhood "
                             "search re-solves (default: a fixed seed, so runs repeat)")
-    solve.add_argument("--backend", choices=AVAILABLE_BACKENDS, default=None)
     solve.add_argument("--output", help="write the report here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 
@@ -202,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--timeout", type=float, default=7200.0)
     bench.add_argument("--jobs", type=int, default=1,
                        help="solve this many instances in parallel")
-    bench.add_argument("--backend", choices=AVAILABLE_BACKENDS, default=None)
     bench.add_argument("--format", choices=("csv", "json"), default="csv")
     bench.add_argument("--output")
     bench.set_defaults(func=cmd_bench)

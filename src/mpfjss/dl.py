@@ -12,21 +12,23 @@ returned as the witness.  :meth:`DLEngine.push` / :meth:`DLEngine.pop` give
 chronological backtracking over asserts.
 
 Two interchangeable kernels back the engine: a compiled extension
-(``mpfjss._dl_core``) and a pure-Python twin (``mpfjss._dl_pure``).  The
-compiled one is picked by default when importable; the ``MPFJSS_DL_BACKEND``
-environment variable or the ``backend=`` argument forces a choice.
+(``mpfjss._dl_core``) and a pure-Python twin (``mpfjss._dl_pure``) that
+behaves the same step for step.  The compiled one is used whenever it is
+built, the pure one otherwise; naming one (``make_kernel("pure")``,
+``DLEngine("compiled")``) is for tests and kernel benchmarks that compare
+the two.
 
-:attr:`DLEngine.kernel` exposes the raw kernel for hot loops that manage
-their own variables, such as the solver's search.  Kernel nodes are plain
-integers: a variable's node is ``handle + 1`` and node 0 is ``zero``;
-``kernel.assert_edge(y, x, k)`` asserts ``x - y <= k`` and returns 0, or 1
-on a conflict.  Only the engine's own methods check that a variable belongs
-to the engine; the kernel takes nodes as given.
+:func:`make_kernel` gives the raw kernel to hot loops that manage their
+own variables, such as the solver's search.  Kernel nodes are plain
+integers: node 0 is the origin, ``add_var()`` returns each new node (an
+engine variable's node is its ``handle + 1``), and
+``assert_edge(y, x, k)`` asserts ``x - y <= k`` and returns 0, or 1 on a
+conflict.  Only the engine's own methods check that a variable belongs to
+the engine; the kernel takes nodes as given.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, NamedTuple
 
 from . import _dl_pure
@@ -40,23 +42,13 @@ AVAILABLE_BACKENDS = ("pure",) if _dl_core is None else ("compiled", "pure")
 
 
 def default_backend() -> str:
-    forced = os.environ.get("MPFJSS_DL_BACKEND", "").strip().lower()
-    if forced:
-        if forced not in ("pure", "compiled"):
-            raise ValueError(f"MPFJSS_DL_BACKEND must be `pure` or `compiled`, not `{forced}`")
-        if forced == "compiled" and _dl_core is None:
-            raise RuntimeError("compiled difference-logic kernel is not built")
-        return forced
+    """The compiled kernel when it is built, else the pure one."""
     return AVAILABLE_BACKENDS[0]
 
 
-def _resolve(backend: str | None) -> str:
-    return backend if backend not in (None, "auto") else default_backend()
-
-
 def make_kernel(backend: str | None = None):
-    """Instantiate a raw kernel; `backend` is `pure`, `compiled` or None (auto)."""
-    name = _resolve(backend)
+    """A raw kernel: `pure`, `compiled`, or None for :func:`default_backend`."""
+    name = default_backend() if backend is None else backend
     if name == "pure":
         return _dl_pure.DiffKernel()
     if name == "compiled":
@@ -93,20 +85,9 @@ class DLEngine:
     """Incremental satisfiability of difference constraints with backtracking."""
 
     def __init__(self, backend: str | None = None):
-        self._backend = _resolve(backend)
-        self._kern = make_kernel(self._backend)
+        self._kern = make_kernel(backend)
         self.zero = DLVar(-1, "zero")
         self._vars: list[DLVar] = [self.zero]
-
-    @property
-    def backend(self) -> str:
-        """The backend asked for, with None resolved to the default."""
-        return self._backend
-
-    @property
-    def kernel(self):
-        """The raw kernel behind this engine; see the module docstring."""
-        return self._kern
 
     def new_var(self, name: object = None) -> DLVar:
         """Create a variable; handles count up from 0 and stay stable."""

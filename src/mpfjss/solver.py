@@ -70,7 +70,7 @@ import time
 from collections import deque
 from typing import Iterable, NamedTuple
 
-from .dl import DLEngine
+from . import dl
 from .model import Instance, Task, tasks, validate_instance
 from .schedule import Allocation, Schedule, build_schedule
 
@@ -218,11 +218,15 @@ class _Search:
     it asserts that every start is non-negative and that job precedence
     holds, at the kernel's base level, and fixes the earliest starts, root
     lower bound and release times those imply, the unordered same-job pairs,
-    the groups of interchangeable instances and the decision slots.  :meth:`solve` then enters a cap only as
-    per-task latest starts, asserted on a pushed kernel level that it pops
-    again however the solve ends.  One search thus answers a sequence of caps
-    the way multi-shot ASP solving re-solves one ground program under a
-    changing bound.
+    the groups of interchangeable instances and the decision slots.
+    :meth:`solve` then enters a cap only as per-task latest starts, asserted
+    on a pushed kernel level that it pops again however the solve ends.  One
+    search thus answers a sequence of caps the way multi-shot ASP solving
+    re-solves one ground program under a changing bound.
+
+    The search drives a raw kernel from :func:`dl.make_kernel`, the compiled
+    one whenever it is built.  ``symmetry_breaking=False`` lets every
+    capable instance compete for a slot, as a neighbourhood step needs.
     """
 
     # Past 30 instance attributes CPython stops sharing a class's dict keys,
@@ -230,9 +234,9 @@ class _Search:
     # a small exact solve); slots keep those reads fast.
     __slots__ = (
         # built once per instance
-        "inst", "sym", "all_tasks", "dur", "due", "eng", "var", "kern", "node",
+        "inst", "sym", "all_tasks", "dur", "due", "kern", "node",
         "sinks", "base_ok", "base_level", "low", "root_lb", "release",
-        "same_pairs", "groups", "class_groups", "group_pos", "slots", "pair_bit",
+        "same_pairs", "class_groups", "slots", "pair_bit",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
@@ -240,13 +244,7 @@ class _Search:
         "best_t", "best", "alloc", "load", "on_key", "refuted", "pinned",
     )
 
-    def __init__(
-        self,
-        inst: Instance,
-        *,
-        symmetry_breaking: bool = True,
-        backend: str | None = None,
-    ):
+    def __init__(self, inst: Instance, *, symmetry_breaking: bool = True):
         _ensure_solvable_structure(inst)
         self.inst = inst
         self.sym = symmetry_breaking
@@ -255,12 +253,11 @@ class _Search:
         self.dur = {t: inst.duration(t[1]) for t in self.all_tasks}
         self.due = {j.name: j.deadline for j in inst.jobs}
 
-        self.eng = DLEngine(backend=backend)
-        self.var = {t: self.eng.new_var(t) for t in self.all_tasks}
-        # the search talks to the raw kernel, where a variable's node is its
-        # handle + 1 and node 0 is the origin
-        self.kern = self.eng.kernel
-        self.node = {t: v.handle + 1 for t, v in self.var.items()}
+        # called through the module, so that a wrapper patched onto
+        # ``dl.make_kernel`` (the benchmark's tracer) sees this kernel
+        self.kern = dl.make_kernel()
+        # one kernel node per task; node 0 is the origin
+        self.node = {t: self.kern.add_var() for t in self.all_tasks}
         # jobs as (deadline, [(node, duration) of tasks with no same-job
         # successor]): precedence ends every other task before one of these
         self.sinks = []
@@ -280,7 +277,7 @@ class _Search:
         self.release = self._starts() if self.base_ok else {}
 
         self.same_pairs = _same_job_pairs(inst)
-        self._build_groups()
+        self.class_groups = self._build_groups()
         self.slots = self._build_slots()
         # one bit per conflict pair, given out as leaves meet new pairs
         self.pair_bit: dict[tuple[Task, Task], int] = {}
@@ -327,8 +324,6 @@ class _Search:
         self.alloc: dict[Task, dict[str, int]] = {t: {} for t in self.all_tasks}
         self.load = {r.key: 0 for r in self.inst.resources}
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
-        for g in self.groups:
-            g["cnt"] = [0] * len(g["indices"])
         # pair masks of the leaves whose order search came back empty
         self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
         if not self.base_ok or _definitely_unsat(self.inst, cap):
@@ -405,21 +400,18 @@ class _Search:
                     return False
         return True
 
-    def _build_groups(self) -> None:
-        """Interchangeable instances: same class and identical capabilities."""
+    def _build_groups(self) -> dict[str, list[tuple[frozenset[str], list[int]]]]:
+        """Interchangeable instances: same class and identical capabilities.
+
+        Per class, its groups as ``(capabilities, sorted indices)``.
+        """
         bykey: dict[tuple[str, tuple[str, ...]], list[int]] = {}
         for r in self.inst.resources:
             bykey.setdefault((r.cls, tuple(sorted(r.capabilities))), []).append(r.index)
-        self.groups: list[dict] = []
-        self.class_groups: dict[str, list[int]] = {}
-        self.group_pos: dict[tuple[str, int], tuple[int, int]] = {}
+        groups: dict[str, list[tuple[frozenset[str], list[int]]]] = {}
         for (cls, caps), idxs in sorted(bykey.items()):
-            gid = len(self.groups)
-            idxs = sorted(idxs)
-            self.groups.append({"caps": set(caps), "indices": idxs, "cnt": [0] * len(idxs)})
-            self.class_groups.setdefault(cls, []).append(gid)
-            for pos, idx in enumerate(idxs):
-                self.group_pos[(cls, idx)] = (gid, pos)
+            groups.setdefault(cls, []).append((frozenset(caps), sorted(idxs)))
+        return groups
 
     def _build_slots(self) -> list[tuple[Task, str]]:
         """One decision slot per (task, demanded class), hardest jobs first."""
@@ -462,8 +454,7 @@ class _Search:
         if self.best is None:
             return
         if self._neighbour is None:
-            self._neighbour = _Search(self.inst, symmetry_breaking=False,
-                                      backend=self.eng.backend)
+            self._neighbour = _Search(self.inst, symmetry_breaking=False)
         nb = self._neighbour
         jobs = [j.name for j in self.inst.jobs]
         free = set(self.rng.sample(jobs, min(NEIGHBOURHOOD_JOBS, len(jobs) - 1)))
@@ -522,21 +513,26 @@ class _Search:
     # -- allocation search ----------------------------------------------
 
     def _candidates(self, slot: tuple[Task, str]) -> list[int]:
+        """The instances a slot may take, least loaded first.
+
+        With symmetry breaking, each group of interchangeable instances
+        offers the ones already in use and the next unused one.  An instance
+        is in use when its load is positive: every duration is at least 1.
+        """
         (job, op), cls = slot
+        load = self.load
         if self.sym:
             allowed = []
-            for gid in self.class_groups.get(cls, ()):
-                g = self.groups[gid]
-                if op not in g["caps"]:
-                    continue
-                open_prefix = sum(1 for c in g["cnt"] if c > 0)
-                allowed.extend(g["indices"][: min(open_prefix + 1, len(g["indices"]))])
+            for caps, indices in self.class_groups.get(cls, ()):
+                if op in caps:
+                    in_use = sum(1 for i in indices if load[(cls, i)] > 0)
+                    allowed.extend(indices[:in_use + 1])
         else:
             kept = self.keep.get(slot[0])
             if kept is not None:
                 return [kept[cls]]
             allowed = list(self.inst.capable(cls, op))
-        allowed.sort(key=lambda i: (self.load[(cls, i)], i))
+        allowed.sort(key=lambda i: (load[(cls, i)], i))
         return allowed
 
     def _apply(self, slot: tuple[Task, str], idx: int) -> None:
@@ -544,16 +540,12 @@ class _Search:
         self.alloc[task][cls] = idx
         self.load[(cls, idx)] += self.dur[task]
         self.on_key[(cls, idx)].append(task)
-        gid, pos = self.group_pos[(cls, idx)]
-        self.groups[gid]["cnt"][pos] += 1
 
     def _unapply(self, slot: tuple[Task, str], idx: int) -> None:
         task, cls = slot
         del self.alloc[task][cls]
         self.load[(cls, idx)] -= self.dur[task]
         self.on_key[(cls, idx)].pop()
-        gid, pos = self.group_pos[(cls, idx)]
-        self.groups[gid]["cnt"][pos] -= 1
 
     def _overloaded(self, key: tuple[str, int]) -> bool:
         """Can the tasks put on one instance still be packed sequentially?
@@ -799,9 +791,7 @@ def decide(
     inst: Instance,
     cap: int,
     *,
-    symmetry_breaking: bool = True,
     deadline: float | None = None,
-    backend: str | None = None,
     search: _Search | None = None,
 ) -> Schedule | None:
     """A schedule with every job at most ``cap`` minutes late, or None.
@@ -811,14 +801,13 @@ def decide(
 
     ``search`` is a search already built for ``inst``, as the cap-search
     strategies pass to all their probes: validation and the build are then
-    skipped, the search's own ``symmetry_breaking`` and ``backend`` apply,
-    and only the cap's per-task latest starts are asserted, under
+    skipped, and only the cap's per-task latest starts are asserted, under
     ``push``/``pop``.  The result is the same as without it.
     """
     if cap < 0:
         raise ValueError(f"tardiness cap must be non-negative, got {cap}")
     if search is None:
-        search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
+        search = _Search(inst)
     elif search.inst is not inst:
         raise ValueError("search was built for another instance")
     return search.solve(cap, deadline=deadline)
@@ -828,9 +817,7 @@ def optimize(
     inst: Instance,
     cap: int,
     *,
-    symmetry_breaking: bool = True,
     deadline: float | None = None,
-    backend: str | None = None,
     search: _Search | None = None,
     incumbent: Schedule | None = None,
     seed: int | None = None,
@@ -846,16 +833,15 @@ def optimize(
     incumbents sooner: a run to exhaustion returns a proven optimum.
 
     ``search`` is a search already built for ``inst``, as the cap-search
-    strategies pass on from their probes; its own ``symmetry_breaking`` and
-    ``backend`` then apply.  ``incumbent`` is a schedule under ``cap``, such
-    as the cap search's witness: the search starts from it, it is returned
-    itself when nothing better turns up, and when its total meets the root
-    lower bound it is returned proven without searching.
+    strategies pass on from their probes.  ``incumbent`` is a schedule under
+    ``cap``, such as the cap search's witness: the search starts from it, it
+    is returned itself when nothing better turns up, and when its total
+    meets the root lower bound it is returned proven without searching.
     """
     if cap < 0:
         raise ValueError(f"tardiness cap must be non-negative, got {cap}")
     if search is None:
-        search = _Search(inst, symmetry_breaking=symmetry_breaking, backend=backend)
+        search = _Search(inst)
     elif search.inst is not inst:
         raise ValueError("search was built for another instance")
     start = None
@@ -884,14 +870,13 @@ def start_times_from_order(
     inst: Instance,
     alloc: Allocation,
     before: Iterable[tuple[Task, Task]],
-    backend: str | None = None,
 ) -> Schedule | None:
     """Earliest schedule for fully directed orderings, or None on a cycle.
 
     ``before`` lists directed pairs (first task completes before the second
     starts); job precedence is added automatically.
     """
-    eng = DLEngine(backend=backend)
+    eng = dl.DLEngine()
     var = {t: eng.new_var(t) for t in tasks(inst)}
     for v in var.values():
         eng.assert_upper(eng.zero, v, 0)

@@ -39,12 +39,6 @@ def test_solve_inc_window(capsys):
     assert report["total_tardiness"] == 1
 
 
-def test_solve_backend_flag(capsys):
-    code, out = run(capsys, "solve", EXAMPLE, "--backend", "pure")
-    assert code == 0
-    assert json.loads(out)["total_tardiness"] == 1
-
-
 def test_solve_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run(capsys, "solve", EXAMPLE, "--output", str(target))
@@ -252,3 +246,23 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["solve"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--window", "0"],
+    ["solve", "--timeout", "0"],
+    ["solve", "--timeout", "-1"],
+    ["solve", "--timeout", "nan"],
+    ["bench", "--window", "0"],
+    ["bench", "--timeout", "0"],
+    ["generate", "--split", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_bad_numeric_option_exits_2(tmp_path, capsys, argv):
+    command, *options = argv
+    inputs = {"solve": [EXAMPLE], "bench": [str(DATA)], "generate": []}[command]
+    target = tmp_path / "out"
+    code = main([command, *inputs, *options, "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("mpfjss: ") and err.count("\n") == 1
+    assert not target.exists()

@@ -8,12 +8,10 @@ k, plus a virtual source reaching every node with weight 0.
 from __future__ import annotations
 
 import random
-import types
 
 import pytest
 
-from mpfjss import _dl_pure, dl
-from mpfjss.dl import AVAILABLE_BACKENDS, DLEngine, default_backend
+from mpfjss.dl import AVAILABLE_BACKENDS, DLEngine
 
 BACKENDS = list(AVAILABLE_BACKENDS)
 
@@ -273,16 +271,3 @@ def test_backends_agree_step_by_step():
         lows = [[e.lower_bound(v) for v in vs] for e, vs in zip(engines, vars_)]
         assert lows[0] == lows[1]
 
-
-def test_engine_reports_the_backend_asked_for(monkeypatch):
-    # a compiled kernel class outside a ``_dl_core`` module, and a kernel
-    # wrapped by a caller, still report the backend the engine was built on
-    monkeypatch.setattr(dl, "_dl_core", types.SimpleNamespace(DiffKernel=_dl_pure.DiffKernel))
-    assert DLEngine(backend="compiled").backend == "compiled"
-    assert DLEngine(backend="pure").backend == "pure"
-    make_kernel = dl.make_kernel
-    monkeypatch.setattr(dl, "make_kernel",
-                        lambda backend=None: types.SimpleNamespace(inner=make_kernel(backend)))
-    assert DLEngine(backend="compiled").backend == "compiled"
-    monkeypatch.delenv("MPFJSS_DL_BACKEND", raising=False)
-    assert DLEngine().backend == default_backend()

@@ -10,9 +10,15 @@ make its count read 0 without failing anything else.
 
 import collections
 import dataclasses
+import importlib.util
+import pathlib
 import types
 
-from mpfjss import GenParams, StrategyConfig, bounds, dl, generate, solve_with_strategy, solver
+from mpfjss import (
+    GenParams, StrategyConfig, bounds, dl, generate, model, solve_with_strategy, solver,
+)
+
+TRACER = pathlib.Path(__file__).parents[1] / "solvebench" / "tracer.py"
 
 
 def test_layer_boundaries_are_looked_up_when_called(monkeypatch, example_instance):
@@ -75,3 +81,33 @@ def test_layer_boundaries_are_looked_up_when_called(monkeypatch, example_instanc
         assert counts["validate_instance"] == counts["make_kernel"] == counts["search"]
         assert counts["search"] == searches
     assert verdicts == {"optimal", "incumbent", "bound-not-found"}
+
+
+def test_benchmark_tracer_sees_every_layer(example_instance):
+    """The solve benchmark's tracer, installed as its runner installs it.
+
+    Each name the tracer patches must exist, its wrappers must see the
+    probes and the kernel calls, and uninstalling must put every original
+    back.
+    """
+    spec = importlib.util.spec_from_file_location("solvebench_tracer", TRACER)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    patched = [(bounds, "decide"), (bounds, "optimize"), (bounds, "time"),
+               (solver, "validate_instance"), (solver, "build_schedule"), (solver, "time"),
+               (dl, "make_kernel"), (model.Instance, "capable")]
+    patched += [(dl.DLEngine, name) for name in tracer_mod.DL_METHODS]
+    originals = [getattr(owner, name) for owner, name in patched]
+
+    tracer = tracer_mod.Tracer(1 / 64)
+    tracer.install()
+    try:
+        report = solve_with_strategy(example_instance, StrategyConfig(strategy="exp"))
+    finally:
+        tracer.uninstall()
+    calls = tracer.take()[0]
+
+    assert report.verdict() == "optimal"
+    assert calls["bounds.decide"] == len(report.bound.probes)
+    assert calls.get("kernel.assert_edge", 0) > 0
+    assert [getattr(owner, name) for owner, name in patched] == originals

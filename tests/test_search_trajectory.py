@@ -30,7 +30,7 @@ from collections import Counter
 
 import pytest
 
-from mpfjss import GenParams, generate, load_instance
+from mpfjss import GenParams, dl, generate, load_instance
 from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.schedule import build_schedule, schedule_to_json
 from mpfjss.validate import check_schedule
@@ -117,6 +117,13 @@ def _run(search, cap, optimizing):
     return None if search.best is None else build_schedule(search.inst, *search.best)
 
 
+@pytest.fixture
+def backend(request, monkeypatch):
+    """The kernel named by the test's parameter, as the one every search takes."""
+    monkeypatch.setattr(dl, "default_backend", lambda: request.param)
+    return request.param
+
+
 def _check_pin(search, sched, steps, total, digest):
     assert search._ticks == steps
     if total is None:
@@ -125,31 +132,31 @@ def _check_pin(search, sched, steps, total, digest):
         assert (sched.total_tardiness, _digest(sched)) == (total, digest)
 
 
-@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", PLAIN_PINS)
 def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _PlainSearch(_instance(key), backend=backend)
+    search = _PlainSearch(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
 
-@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", MEMO_PINS)
 def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _ChronoSearch(_instance(key), backend=backend)
+    search = _ChronoSearch(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
 
-@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", JUMP_PINS)
 def test_backjump_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _Search(_instance(key), backend=backend)
+    search = _Search(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
 
-@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS)
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key", list(dict.fromkeys(row[0] for row in PINNED)),
                          ids=lambda k: k if isinstance(k, str) else "-".join(map(str, k)))
 def test_one_search_replays_every_pin(backend, key):
@@ -157,7 +164,7 @@ def test_one_search_replays_every_pin(backend, key):
     for cls, pins in ((_PlainSearch, PLAIN_PINS), (_ChronoSearch, MEMO_PINS),
                       (_Search, JUMP_PINS)):
         rows = [row[1:] for row in pins if row[0] == key]
-        search = cls(_instance(key), backend=backend)
+        search = cls(_instance(key))
         for mode, cap, steps, total, digest in rows + rows[::-1]:
             sched = _run(search, cap, mode == "optimize")
             _check_pin(search, sched, steps, total, digest)
@@ -224,7 +231,7 @@ class _CheckedSearch(_Search):
     def _full_lb(self):
         done = {}
         for t in self.all_tasks:
-            end = self.eng.lower_bound(self.var[t]) + self.dur[t]
+            end = self.kern.earliest(self.node[t]) + self.dur[t]
             done[t[0]] = max(done.get(t[0], 0), end)
         return sum(max(0, end - self.due[j]) for j, end in done.items())
 

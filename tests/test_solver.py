@@ -4,11 +4,14 @@ import time
 
 import pytest
 
+from mpfjss import dl
+from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.model import parse_instance
 from mpfjss.oracle import brute_force_min_cap, brute_force_optimal
 from mpfjss.solver import (
     SolveTimeout,
     UnsolvableInstanceError,
+    _Search,
     _same_job_pairs,
     conflict_pairs,
     decide,
@@ -277,20 +280,22 @@ def test_symmetry_breaking_changes_nothing(tiny_factory):
     rng = random.Random(246)
     for _ in range(10):
         inst = tiny_factory(rng)
+        unbroken = _Search(inst, symmetry_breaking=False)
         for cap in (0, 1, 3):
-            a = decide(inst, cap, symmetry_breaking=True)
-            b = decide(inst, cap, symmetry_breaking=False)
+            a = decide(inst, cap)
+            b = decide(inst, cap, search=unbroken)
             assert (a is None) == (b is None)
         cap = brute_force_min_cap(inst) + 1
-        ta = optimize(inst, cap, symmetry_breaking=True).schedule.total_tardiness
-        tb = optimize(inst, cap, symmetry_breaking=False).schedule.total_tardiness
+        ta = optimize(inst, cap).schedule.total_tardiness
+        tb = optimize(inst, cap, search=unbroken).schedule.total_tardiness
         assert ta == tb
 
 
-def test_solver_backends_agree(example_instance):
-    from mpfjss.dl import AVAILABLE_BACKENDS
-
-    scheds = [decide(example_instance, 1, backend=b) for b in AVAILABLE_BACKENDS]
+def test_solver_backends_agree(monkeypatch, example_instance):
+    scheds, results = [], []
+    for backend in AVAILABLE_BACKENDS:
+        monkeypatch.setattr(dl, "default_backend", lambda: backend)
+        scheds.append(decide(example_instance, 1))
+        results.append(optimize(example_instance, 3))
     assert all(s == scheds[0] for s in scheds)
-    results = [optimize(example_instance, 3, backend=b) for b in AVAILABLE_BACKENDS]
     assert all(r == results[0] for r in results)
