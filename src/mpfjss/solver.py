@@ -6,8 +6,8 @@ tardiness among such schedules by branch and bound.  The search branches on
 two kinds of decisions:
 
 * an instance of every demanded resource class for every task, filtered so
-  that interchangeable instances (same class, identical capabilities) are
-  introduced in index order, and
+  that interchangeable instances (same class, identical capabilities, no
+  kept task on them) are introduced in index order, and
 * a direction for every conflict pair, i.e. two tasks that may not overlap
   because they belong to the same job or share a chosen instance.
 
@@ -68,7 +68,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from . import dl
 from .model import Instance, Task, tasks, validate_instance
@@ -79,6 +79,7 @@ NEIGHBOURHOOD_STEPS = 2048  # search steps of one neighbourhood step
 NEIGHBOURHOOD_JOBS = 3  # jobs re-solved by one neighbourhood step, if there are more
 DEFAULT_SEED = 0  # neighbourhood choice when ``optimize`` gets no seed
 MEMO_LEAVES = 4096  # refuted allocation leaves one solve remembers; the oldest go first
+_Groups = dict[str, list[tuple[frozenset[str], list[int]]]]  # per class: (capabilities, indices)
 
 
 class UnsolvableInstanceError(Exception):
@@ -168,24 +169,29 @@ def _same_job_pairs(inst: Instance) -> list[tuple[Task, Task]]:
     return sorted(out)
 
 
-def _shared_instance_pairs(alloc: Allocation) -> list[tuple[Task, Task]]:
-    """Cross-job task pairs that compete for at least one chosen instance."""
+def _users(alloc: Allocation) -> dict[tuple[str, int], list[Task]]:
+    """The tasks ``alloc`` puts on each instance it uses, by instance key."""
     users: dict[tuple[str, int], list[Task]] = {}
-    for task in sorted(alloc):
-        for cls, idx in alloc[task].items():
-            users.setdefault((cls, idx), []).append(task)
+    for task, chosen in alloc.items():
+        for key in chosen.items():
+            users.setdefault(key, []).append(task)
+    return users
+
+
+def _cross_job_pairs(users: Iterable[list[Task]]) -> set[tuple[Task, Task]]:
+    """Task pairs of different jobs that share an instance, given each one's tasks."""
     pairs: set[tuple[Task, Task]] = set()
-    for ts in users.values():
+    for ts in users:
         for i, a in enumerate(ts):
             for b in ts[i + 1:]:
                 if a[0] != b[0]:
                     pairs.add((a, b) if a < b else (b, a))
-    return sorted(pairs)
+    return pairs
 
 
 def conflict_pairs(inst: Instance, alloc: Allocation) -> set[tuple[Task, Task]]:
     """Every task pair whose order the solver must decide under ``alloc``."""
-    return set(_same_job_pairs(inst)) | set(_shared_instance_pairs(alloc))
+    return set(_same_job_pairs(inst)) | _cross_job_pairs(_users(alloc).values())
 
 
 def _definitely_unsat(inst: Instance, cap: int) -> bool:
@@ -225,18 +231,16 @@ class _Search:
     re-solves one ground program under a changing bound.
 
     The search drives a raw kernel from :func:`dl.make_kernel`, the compiled
-    one whenever it is built.  ``symmetry_breaking=False`` lets every
-    capable instance compete for a slot, as a neighbourhood step needs.
+    one whenever it is built.
     """
 
     # Past 30 instance attributes CPython stops sharing a class's dict keys,
     # and every attribute read in the search loops gets slower (about 7% of
     # a small exact solve); slots keep those reads fast.
     __slots__ = (
-        # built once per instance
-        "inst", "sym", "all_tasks", "dur", "due", "kern", "node",
-        "sinks", "base_ok", "base_level", "low", "root_lb", "release",
-        "same_pairs", "class_groups", "slots", "pair_bit",
+        # built once per instance; ``reoptimize`` rebuilds ``class_groups`` for one step
+        "inst", "all_tasks", "dur", "due", "kern", "node", "sinks", "base_level", "low",
+        "root_lb", "release", "same_pairs", "class_groups", "slots", "pair_bit",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
@@ -244,10 +248,9 @@ class _Search:
         "best_t", "best", "alloc", "load", "on_key", "refuted", "pinned",
     )
 
-    def __init__(self, inst: Instance, *, symmetry_breaking: bool = True):
+    def __init__(self, inst: Instance):
         _ensure_solvable_structure(inst)
         self.inst = inst
-        self.sym = symmetry_breaking
 
         self.all_tasks = tasks(inst)
         self.dur = {t: inst.duration(t[1]) for t in self.all_tasks}
@@ -267,14 +270,14 @@ class _Search:
                     for o in sorted(j.operations) if o not in preds]
             if ends:
                 self.sinks.append((j.deadline, ends))
-        self.base_ok = self._assert_base()
+        self._assert_base()
         self.base_level = self.kern.level()
         # earliest starts of every node, refreshed after each successful
         # assert; a cap's latest starts leave them as they are here
         self.low = self.kern.earliest_all()
-        self.root_lb = self._lb() if self.base_ok else 0
+        self.root_lb = self._lb()
         # earliest starts implied by precedence alone, for the packing check
-        self.release = self._starts() if self.base_ok else {}
+        self.release = self._starts()
 
         self.same_pairs = _same_job_pairs(inst)
         self.class_groups = self._build_groups()
@@ -326,7 +329,7 @@ class _Search:
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
         # pair masks of the leaves whose order search came back empty
         self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
-        if not self.base_ok or _definitely_unsat(self.inst, cap):
+        if _definitely_unsat(self.inst, cap):
             return None
         self.pinned = False  # see :meth:`_pin_potentials`
         kern = self.kern
@@ -361,19 +364,18 @@ class _Search:
         cap; those pairs leave the order search.  The tasks of ``free`` are
         allocated and ordered anew for at most ``NEIGHBOURHOOD_STEPS`` steps.
         Afterwards ``best``/``best_t`` hold a strictly better schedule if one
-        was found, else the incumbent.  The search must be built without
-        symmetry breaking: kept tasks make interchangeable instances differ.
+        was found, else the incumbent.  Each instance a kept task uses has a
+        group of its own for the step; the rest stay interchangeable.
         """
-        if self.sym:
-            raise ValueError("a neighbourhood search needs symmetry_breaking=False")
         starts, alloc, _ = incumbent
         keep = {t: alloc[t] for t in self.all_tasks if t[0] not in free}
+        users = _users(keep)
         pairs = [p for p in self.same_pairs if p[0] in keep and p[1] in keep]
-        pairs += _shared_instance_pairs(keep)
-        dur = self.dur
+        pairs += sorted(_cross_job_pairs(users.values()))
         self.keep = keep
+        self.class_groups = self._build_groups(users.keys())
         # a schedule overlaps no conflicting pair, so the first ends first
-        self.kept_order = [(a, b) if starts[a] + dur[a] <= starts[b] else (b, a)
+        self.kept_order = [(a, b) if starts[a] + self.dur[a] <= starts[b] else (b, a)
                            for a, b in pairs]
         self.step_limit = NEIGHBOURHOOD_STEPS
         try:
@@ -384,32 +386,32 @@ class _Search:
             self.keep = {}
             self.kept_order = []
             self.step_limit = None
+            self.class_groups = self._build_groups()
 
     # -- setup ----------------------------------------------------------
 
-    def _assert_base(self) -> bool:
-        """Start bounds and precedence; False if contradictory."""
+    def _assert_base(self) -> None:
+        """Start bounds and precedence, which validation keeps free of cycles."""
         kern = self.kern
-        for t in self.all_tasks:
-            # start >= 0
-            if kern.assert_edge(self.node[t], 0, 0):
-                return False
-        for j in self.inst.jobs:
-            for a, b in sorted(j.precedence):
-                if not self._assert_before((j.name, a), (j.name, b)):
-                    return False
-        return True
+        starts_ok = all(kern.assert_edge(self.node[t], 0, 0) == 0  # start >= 0
+                        for t in self.all_tasks)
+        precedence_ok = all(self._assert_before((j.name, a), (j.name, b))
+                            for j in self.inst.jobs for a, b in sorted(j.precedence))
+        if not (starts_ok and precedence_ok):
+            raise RuntimeError("the kernel rejected the start bounds or precedence")
 
-    def _build_groups(self) -> dict[str, list[tuple[frozenset[str], list[int]]]]:
+    def _build_groups(self, fixed: Collection[tuple[str, int]] = frozenset()) -> _Groups:
         """Interchangeable instances: same class and identical capabilities.
 
-        Per class, its groups as ``(capabilities, sorted indices)``.
+        Per class, its groups as ``(capabilities, sorted indices)``.  An
+        instance whose key is in ``fixed`` forms a group of its own.
         """
-        bykey: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+        bykey: dict[tuple[str, tuple[str, ...], tuple[int, ...]], list[int]] = {}
         for r in self.inst.resources:
-            bykey.setdefault((r.cls, tuple(sorted(r.capabilities))), []).append(r.index)
-        groups: dict[str, list[tuple[frozenset[str], list[int]]]] = {}
-        for (cls, caps), idxs in sorted(bykey.items()):
+            own = (r.index,) if r.key in fixed else ()
+            bykey.setdefault((r.cls, tuple(sorted(r.capabilities)), own), []).append(r.index)
+        groups: _Groups = {}
+        for (cls, caps, _), idxs in sorted(bykey.items()):
             groups.setdefault(cls, []).append((frozenset(caps), sorted(idxs)))
         return groups
 
@@ -454,7 +456,7 @@ class _Search:
         if self.best is None:
             return
         if self._neighbour is None:
-            self._neighbour = _Search(self.inst, symmetry_breaking=False)
+            self._neighbour = _Search(self.inst)
         nb = self._neighbour
         jobs = [j.name for j in self.inst.jobs]
         free = set(self.rng.sample(jobs, min(NEIGHBOURHOOD_JOBS, len(jobs) - 1)))
@@ -515,23 +517,24 @@ class _Search:
     def _candidates(self, slot: tuple[Task, str]) -> list[int]:
         """The instances a slot may take, least loaded first.
 
-        With symmetry breaking, each group of interchangeable instances
-        offers the ones already in use and the next unused one.  An instance
-        is in use when its load is positive: every duration is at least 1.
+        A kept task's slot takes its kept instance.  Otherwise each group of
+        interchangeable instances offers the ones in use and the next unused
+        one.  Those in use form a prefix of the group, as a slot takes one in
+        use or the first unused one and allocations are undone last first.
+        An instance is in use when its load is positive: durations are >= 1.
         """
         (job, op), cls = slot
+        kept = self.keep.get(slot[0])
+        if kept is not None:
+            return [kept[cls]]
         load = self.load
-        if self.sym:
-            allowed = []
-            for caps, indices in self.class_groups.get(cls, ()):
-                if op in caps:
-                    in_use = sum(1 for i in indices if load[(cls, i)] > 0)
-                    allowed.extend(indices[:in_use + 1])
-        else:
-            kept = self.keep.get(slot[0])
-            if kept is not None:
-                return [kept[cls]]
-            allowed = list(self.inst.capable(cls, op))
+        allowed = []
+        for caps, indices in self.class_groups.get(cls, ()):
+            if op in caps:
+                for i in indices:
+                    allowed.append(i)
+                    if not load[(cls, i)]:
+                        break
         allowed.sort(key=lambda i: (load[(cls, i)], i))
         return allowed
 
@@ -628,12 +631,8 @@ class _Search:
 
     def _leaf_pairs(self) -> set[tuple[Task, Task]]:
         """The conflict pairs of the current allocation left to order."""
-        pairs = set(self.same_pairs)
-        for users in self.on_key.values():
-            for i, a in enumerate(users):
-                for b in users[i + 1:]:
-                    if a[0] != b[0]:
-                        pairs.add((a, b) if a < b else (b, a))
+        pairs = _cross_job_pairs(self.on_key.values())
+        pairs.update(self.same_pairs)
         keep = self.keep
         if keep:
             pairs = {p for p in pairs if p[0] not in keep or p[1] not in keep}

@@ -47,8 +47,20 @@ _build_compiled_kernel()
 import pytest  # noqa: E402
 
 from mpfjss.model import load_instance, parse_instance  # noqa: E402
+from mpfjss.solver import _Search  # noqa: E402
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+class _EveryInstance(_Search):
+    """The search without symmetry breaking, as the tests' reference.
+
+    Every instance forms a group of its own, so every capable instance
+    competes for a slot, least loaded first, and a kept task keeps its own.
+    """
+
+    def _build_groups(self, fixed=frozenset()):
+        return super()._build_groups({r.key for r in self.inst.resources})
 
 
 @pytest.fixture

@@ -10,8 +10,6 @@ schedules.
 import dataclasses
 import random
 
-import pytest
-
 from mpfjss import (
     GenParams,
     StrategyConfig,
@@ -20,6 +18,7 @@ from mpfjss import (
     generate,
     optimize,
     parse_instance,
+    serialize_instance,
     solve_with_strategy,
 )
 from mpfjss import solver
@@ -27,7 +26,7 @@ from mpfjss.oracle import brute_force_optimal
 from mpfjss.schedule import build_schedule
 from mpfjss.solver import SolveTimeout, _ProvenOptimal, _Search
 
-from conftest import random_tiny_instance
+from conftest import _EveryInstance, random_tiny_instance
 
 
 def _incumbent(sched):
@@ -55,15 +54,13 @@ def test_neighbourhood_without_free_jobs_keeps_the_incumbent():
         inst = random_tiny_instance(rng)
         cap = _serial(inst)
         start = _incumbent(decide(inst, cap))
-        search = _Search(inst, symmetry_breaking=False)
+        search = _Search(inst)
         best, best_t = _reoptimize(search, cap, start, set())
         assert best_t == start[2]
         assert best == start[:2]
         assert search.kern.level() == search.base_level
         assert (search.keep, search.kept_order, search.step_limit) == ({}, [], None)
-    # symmetry breaking treats instances as interchangeable, which kept tasks break
-    with pytest.raises(ValueError):
-        _Search(inst).reoptimize(cap, start, set())
+        assert search.class_groups == search._build_groups()
 
 
 def test_neighbourhood_of_every_job_reaches_the_oracle_optimum(monkeypatch):
@@ -75,7 +72,7 @@ def test_neighbourhood_of_every_job_reaches_the_oracle_optimum(monkeypatch):
         cap = _serial(inst)
         want, _ = brute_force_optimal(inst)
         start = _incumbent(decide(inst, cap))
-        search = _Search(inst, symmetry_breaking=False)
+        search = _Search(inst)
         best, best_t = _reoptimize(search, cap, start, {j.name for j in inst.jobs})
         assert best_t == want
         sched = build_schedule(inst, *best)
@@ -86,7 +83,7 @@ def test_neighbourhood_of_every_job_reaches_the_oracle_optimum(monkeypatch):
     assert improved > 0
 
 
-class _MostLoadedFirst(_Search):
+class _MostLoadedFirst(_EveryInstance):
     """Tries the busiest instance first, unlike any allocation the solver makes."""
 
     def _candidates(self, slot):
@@ -96,9 +93,9 @@ class _MostLoadedFirst(_Search):
 def test_neighbourhood_keeps_the_other_jobs_in_place():
     day = generate(dataclasses.replace(GenParams(), jobs=(20, 20)), 3)
     cap = _serial(day)
-    start = _incumbent(_MostLoadedFirst(day, symmetry_breaking=False).solve(cap))
+    start = _incumbent(_MostLoadedFirst(day).solve(cap))
     starts, alloc, total = start
-    search = _Search(day, symmetry_breaking=False)
+    search = _Search(day)
     names = [j.name for j in day.jobs]
     found = 0
     for free in (set(names[:3]), set(names[4:7]), set(names[-3:])):
@@ -114,6 +111,49 @@ def test_neighbourhood_keeps_the_other_jobs_in_place():
         for a, b in search.kept_order:
             assert starts[a] < starts[b] and new_starts[a] < new_starts[b]
     assert found > 0
+
+
+class _Crowding(_EveryInstance):
+    """Puts each task on the busiest capable instance, the lowest of equals."""
+
+    def _candidates(self, slot):
+        load, cls = self.load, slot[1]
+        return sorted(super()._candidates(slot), key=lambda i: (-load[(cls, i)], i))
+
+
+def _with_twins(inst):
+    """``inst`` with workers 3 and 4, able to do what workers 1 and 2 can."""
+    text = serialize_instance(inst)
+    twins = [line.replace("res(w,1,", "res(w,3,").replace("res(w,2,", "res(w,4,")
+             for line in text.splitlines() if line.startswith(("res(w,1,", "res(w,2,"))]
+    return parse_instance("\n".join([text, *twins]))
+
+
+def test_neighbourhood_breaks_symmetry_only_among_free_instances(monkeypatch):
+    """Exhaustive steps reach the reference's best total, in no more steps.
+
+    Every worker has a twin, and the incumbent crowds the tasks onto the
+    lowest instances, so a step often does best to move a free task to the
+    idle twin of an instance a kept task uses.  That instance is
+    interchangeable with no other; the rest of its group still are, so a
+    step with kept tasks skips allocations the reference tries.
+    """
+    monkeypatch.setattr(solver, "NEIGHBOURHOOD_STEPS", None)
+    rng = random.Random(31)
+    fewer = 0
+    for _ in range(60):
+        inst = _with_twins(random_tiny_instance(rng))
+        cap = _serial(inst)
+        start = _incumbent(_Crowding(inst).solve(cap))
+        names = [j.name for j in inst.jobs]
+        free = set(rng.sample(names, rng.randint(0, len(names))))
+        search, reference = _Search(inst), _EveryInstance(inst)
+        _, best_t = _reoptimize(search, cap, start, free)
+        _, want = _reoptimize(reference, cap, start, free)
+        assert best_t == want
+        assert search._ticks <= reference._ticks
+        fewer += 0 < len(free) < len(names) and search._ticks < reference._ticks
+    assert fewer > 0
 
 
 class _StepCapped(_Search):

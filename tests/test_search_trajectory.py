@@ -43,7 +43,7 @@ from mpfjss.solver import (
     decide,
 )
 
-from conftest import DATA, random_tiny_instance
+from conftest import DATA, _EveryInstance, random_tiny_instance
 
 # the 3-job shop of acceptance criterion 8, at other job counts
 SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
@@ -91,6 +91,14 @@ class _PlainSearch(_ChronoSearch):
 
     def _covered(self, mask):
         return False
+
+
+class _EveryChrono(_EveryInstance, _ChronoSearch):
+    """``_ChronoSearch`` without symmetry breaking."""
+
+
+class _EveryPlain(_EveryInstance, _PlainSearch):
+    """``_PlainSearch`` without symmetry breaking."""
 
 
 def _instance(key):
@@ -207,10 +215,12 @@ class _CheckedSearch(_Search):
     ``conflict_pairs``; at every leaf the memo skips, that the leaf's mask
     encodes exactly those pairs and contains a refuted leaf's mask, and
     that the pairs contain those of a leaf whose order search ran to its
-    end.  At every assert the order search rejects, it checks that the
-    ``conflict()`` edges and the rejected edge close a cycle of negative
-    weight, and that each of the cycle's levels asserted the edge the cycle
-    names.  It gives up after a fixed number of steps, so that large random
+    end.  At every allocation slot it checks that the instances in use form
+    a prefix of each group, and that the slot is offered each group's
+    instances in use and the next unused one.  At every assert the order
+    search rejects, it checks that the ``conflict()`` edges and the
+    rejected edge close a cycle of negative weight, and that each of the
+    cycle's levels asserted the edge the cycle names.  It gives up after a fixed number of steps, so that large random
     instances stay cheap and the test does the same work on every run.
     """
 
@@ -234,6 +244,18 @@ class _CheckedSearch(_Search):
             end = self.kern.earliest(self.node[t]) + self.dur[t]
             done[t[0]] = max(done.get(t[0], 0), end)
         return sum(max(0, end - self.due[j]) for j, end in done.items())
+
+    def _candidates(self, slot):
+        (_, op), cls = slot
+        want = []
+        for caps, indices in self.class_groups.get(cls, ()):
+            in_use = [self.load[(cls, i)] > 0 for i in indices]
+            assert in_use == sorted(in_use, reverse=True)
+            if op in caps:
+                want += indices[:sum(in_use) + 1]
+        got = super()._candidates(slot)
+        assert sorted(got) == sorted(want)
+        return got
 
     def _leaf_pairs(self):
         self.pairs = super()._leaf_pairs()
@@ -337,8 +359,8 @@ def test_memo_changes_no_result(symmetry_breaking):
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap in sorted({0, 1, 3, serial // 2, serial}):
             for optimizing in (False, True):
-                memo = _Search(inst, symmetry_breaking=symmetry_breaking)
-                plain = _PlainSearch(inst, symmetry_breaking=symmetry_breaking)
+                memo = (_Search if symmetry_breaking else _EveryInstance)(inst)
+                plain = (_PlainSearch if symmetry_breaking else _EveryPlain)(inst)
                 got = _run(memo, cap, optimizing)
                 want = _run(plain, cap, optimizing)
                 assert (got and (got.total_tardiness, _digest(got))) == \
@@ -360,8 +382,8 @@ def test_backjumping_changes_no_result(symmetry_breaking):
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap in sorted({0, 1, 3, serial // 2, serial}):
             for optimizing in (False, True):
-                jump = _Search(inst, symmetry_breaking=symmetry_breaking)
-                chrono = _ChronoSearch(inst, symmetry_breaking=symmetry_breaking)
+                jump = (_Search if symmetry_breaking else _EveryInstance)(inst)
+                chrono = (_ChronoSearch if symmetry_breaking else _EveryChrono)(inst)
                 got = _run(jump, cap, optimizing)
                 want = _run(chrono, cap, optimizing)
                 assert (got and (got.total_tardiness, _digest(got))) == \
@@ -447,9 +469,9 @@ def test_two_neighbourhood_steps_on_one_search_match_fresh_searches():
                  {a.task: dict(a.resources) for a in sched.assignments},
                  sched.total_tardiness)
     names = [j.name for j in day.jobs]
-    shared = _Search(day, symmetry_breaking=False)
+    shared = _Search(day)
     for free in (set(names[:3]), set(names[5:8])):
-        fresh = _Search(day, symmetry_breaking=False)
+        fresh = _Search(day)
         for search in (shared, fresh):
             try:
                 search.reoptimize(cap, incumbent, free)

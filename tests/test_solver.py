@@ -11,7 +11,6 @@ from mpfjss.oracle import brute_force_min_cap, brute_force_optimal
 from mpfjss.solver import (
     SolveTimeout,
     UnsolvableInstanceError,
-    _Search,
     _same_job_pairs,
     conflict_pairs,
     decide,
@@ -20,6 +19,7 @@ from mpfjss.solver import (
 )
 from mpfjss.validate import check_schedule, total_tardiness
 
+from conftest import _EveryInstance
 from test_model import _chain_text
 from test_validator import ALLOC, STARTS_A
 
@@ -280,7 +280,7 @@ def test_symmetry_breaking_changes_nothing(tiny_factory):
     rng = random.Random(246)
     for _ in range(10):
         inst = tiny_factory(rng)
-        unbroken = _Search(inst, symmetry_breaking=False)
+        unbroken = _EveryInstance(inst)
         for cap in (0, 1, 3):
             a = decide(inst, cap)
             b = decide(inst, cap, search=unbroken)
