@@ -16,8 +16,9 @@ Two quantities are maintained across asserts:
   origin, propagated along incoming edges.  ``low`` is exactly the earliest-
   start value in scheduling encodings and is restored on :meth:`pop`.
 
-The compiled backend in ``_dl_core.pyx`` implements the same algorithm with
-the same tie-breaking; the two must be observably identical.
+The compiled backend, the hand-written C++ in ``_dl_core.cpp``, implements
+the same algorithm with the same tie-breaking; the two must be observably
+identical.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class DiffKernel:
         return len(self._src)
 
     def edge(self, eid: int) -> tuple[int, int, int]:
+        if not 0 <= eid < len(self._src):
+            raise IndexError(f"no edge {eid}")
         return (self._src[eid], self._dst[eid], self._w[eid])
 
     def level(self) -> int:
@@ -104,6 +107,8 @@ class DiffKernel:
 
     def earliest(self, v: int) -> int | None:
         """Strongest lower bound of ``v`` against the origin, or None."""
+        if not 0 <= v < len(self._low):
+            raise IndexError(f"unknown variable {v}")
         return self._low[v]
 
     def earliest_all(self) -> list[int | None]:

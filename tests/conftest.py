@@ -15,8 +15,9 @@ def _build_compiled_kernel():
     ``mpfjss._dl_core`` before ``mpfjss`` is first imported, so that the
     tests parametrized over ``AVAILABLE_BACKENDS`` run on both kernels and
     the compiled one is the default, as in an installed package.  Nothing is
-    written next to the sources.  Without ``g++`` or the Python headers, or
-    when the build fails, the tests run on the pure kernel alone.
+    written next to the sources.  Without ``g++`` or the Python headers the
+    tests run on the pure kernel alone; when they are present, a failed build
+    or load stops the session, so a broken kernel cannot pass unnoticed.
     """
     spec = importlib.util.find_spec("mpfjss")
     if spec is None or not spec.submodule_search_locations:
@@ -33,9 +34,10 @@ def _build_compiled_kernel():
     with tempfile.TemporaryDirectory() as tmp:
         target = pathlib.Path(tmp) / f"_dl_core{sysconfig.get_config_var('EXT_SUFFIX')}"
         build = subprocess.run([cxx, "-O2", "-shared", "-fPIC", f"-I{include}",
-                                str(source), "-o", str(target)], capture_output=True)
+                                str(source), "-o", str(target)],
+                               capture_output=True, text=True)
         if build.returncode != 0:
-            return
+            raise RuntimeError(f"compiling {source} failed:\n{build.stderr}")
         ext = importlib.util.spec_from_file_location("mpfjss._dl_core", target)
         module = importlib.util.module_from_spec(ext)
         ext.loader.exec_module(module)

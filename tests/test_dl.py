@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from mpfjss import _dl_pure, dl
 from mpfjss.dl import AVAILABLE_BACKENDS, DLEngine
 
 BACKENDS = list(AVAILABLE_BACKENDS)
@@ -240,6 +241,35 @@ def test_solution_satisfies_mixed_anchoring(backend):
     assert eng.lower_bound(free) is None
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_error_contract(backend):
+    module = dl._dl_core if backend == "compiled" else _dl_pure
+    assert (module.MAX_WEIGHT, module.MAX_EDGES) == (_dl_pure.MAX_WEIGHT, _dl_pure.MAX_EDGES)
+    kern = dl.make_kernel(backend)
+    a = kern.add_var()
+    assert kern.assert_edge(a, 0, -3) == 0  # a >= 3
+    assert kern.assert_edge(0, a, 2) == 1  # a <= 2 closes a negative cycle
+    assert kern.conflict() == [0]
+    nodes, edges, lows = kern.num_vars(), kern.num_edges(), kern.earliest_all()
+    for bad in (-1, nodes):
+        with pytest.raises(IndexError):
+            kern.assert_edge(bad, a, 0)
+        with pytest.raises(IndexError):
+            kern.assert_edge(a, bad, 0)
+        with pytest.raises(IndexError):
+            kern.earliest(bad)
+    for bad in (-1, edges):
+        with pytest.raises(IndexError):
+            kern.edge(bad)
+    for w in (module.MAX_WEIGHT + 1, -module.MAX_WEIGHT - 1):
+        with pytest.raises(OverflowError):
+            kern.assert_edge(a, 0, w)
+    assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
+    assert kern.assert_edge(a, a, -1) == 1
+    assert kern.conflict() == []
+    assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
+
+
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
 def test_backends_agree_step_by_step():
     rng = random.Random(31337)
@@ -268,6 +298,9 @@ def test_backends_agree_step_by_step():
                         None if c is None else [(a.x.handle, a.y.handle, a.k) for a in c.constraints]
                     )
                 assert results[0] == results[1]
+            # after every push, pop and assert, so that a bad restore shows where it happened
+            earliest = [e._kern.earliest_all() for e in engines]
+            assert earliest[0] == earliest[1]
         lows = [[e.lower_bound(v) for v in vs] for e, vs in zip(engines, vars_)]
         assert lows[0] == lows[1]
 
