@@ -1,7 +1,11 @@
 // Compiled difference-logic kernel, the extension module mpfjss._dl_core.
 //
 // Observable twin of mpfjss._dl_pure.DiffKernel: same algorithm, same
-// tie-breaking, same exceptions.  See that module for the algorithm notes.
+// tie-breaking, same exceptions.  See that module for the algorithm notes:
+// an assert into a node with a lower bound is one pass that raises `low`
+// from its source, trailing each node's `reason` edge with it, and rejects
+// the assert when it would raise the target or the origin; only an assert
+// into a node without one repairs the potentials `pi` by a Dijkstra pass.
 // `Kernel` is plain C++; the functions below it convert arguments and results
 // and turn its status codes into Python exceptions.  setup.py builds it.
 
@@ -24,22 +28,28 @@ const i64 PI_FLOOR = -(i64(1) << 60);
 const i64 NEG_INF = -(i64(1) << 62);  // `low` of a node with no bound yet
 const int NEW_EDGE = -1;
 
-enum Status { OK = 0, CYCLE = 1, PI_OUT_OF_RANGE, ORIGIN_MOVED };
+enum Status { OK = 0, CYCLE = 1, PI_OUT_OF_RANGE };
 
 struct Kernel {
     struct Edge {  // value(dst) - value(src) <= w
         int src, dst;
         i64 w;
     };
+    struct Raise {  // a node's `low` and `reason` before an assert raised them
+        int node, reason;
+        i64 low;
+    };
     std::vector<Edge> edges;
     std::vector<std::vector<int>> out, in;
     std::vector<i64> pi, low;
+    std::vector<int> reason;  // the edge that last raised each node's `low`
     std::vector<std::pair<size_t, size_t>> marks;  // (edges, lowtrail) sizes at push
-    std::vector<std::pair<int, i64>> lowtrail;
+    std::vector<Raise> lowtrail;
     std::vector<int> conflict;
     struct Visit {  // a node's state in the relaxation of stamp `gstamp`
         i64 gamma = 0, gstamp = 0, fstamp = 0;
         int parent = 0;
+        i64 rstamp = 0;  // stamp of the last conflict that found the node raised
     };
     std::vector<Visit> visit;
     i64 stamp = 0;
@@ -55,6 +65,7 @@ struct Kernel {
         in.emplace_back();
         pi.push_back(0);
         low.push_back(bound);
+        reason.push_back(NEW_EDGE);
         visit.emplace_back();
         return int(pi.size()) - 1;
     }
@@ -69,26 +80,109 @@ struct Kernel {
             in[edges[eid].dst].pop_back();
         }
         edges.resize(mark);
-        for (size_t i = lowtrail.size(); i-- > lowmark;)
-            low[lowtrail[i].first] = lowtrail[i].second;
+        undo(lowmark);
+    }
+
+    // Restore `low` and `reason` to their values at trail size `lowmark`.
+    void undo(size_t lowmark) {
+        for (size_t i = lowtrail.size(); i-- > lowmark;) {
+            low[lowtrail[i].node] = lowtrail[i].low;
+            reason[lowtrail[i].node] = lowtrail[i].reason;
+        }
         lowtrail.resize(lowmark);
     }
 
     // Add value(v) - value(u) <= wt; nodes and weight are already checked.
     Status assert_edge(int u, int v, i64 wt) {
-        if (u == v && wt < 0) {
-            conflict.clear();
-            return CYCLE;
+        Status status = OK;
+        if (u == v) {
+            if (wt < 0) {
+                conflict.clear();
+                return CYCLE;
+            }
+        } else if (low[v] != NEG_INF) {
+            status = raise(u, v, low[v] - wt);
+        } else {
+            const i64 slack = pi[u] + wt - pi[v];
+            if (slack < 0)
+                status = relax(u, v, slack);
         }
-        // A self-loop of weight >= 0 has slack >= 0 and raises no bound.
-        const i64 slack = pi[u] + wt - pi[v];
-        const Status status = slack < 0 ? relax(u, v, slack) : OK;
         if (status != OK)
             return status;
         out[u].push_back(int(edges.size()));
         in[v].push_back(int(edges.size()));
         edges.push_back({u, v, wt});
-        return raise_low(u, v, wt) ? OK : ORIGIN_MOVED;
+        return OK;
+    }
+
+    // Raise low[u] to `cand` and propagate; on a cycle, roll back.
+    Status raise(int u, int v, i64 cand) {
+        const i64 lu = low[u];
+        if (lu != NEG_INF && cand <= lu)
+            return OK;
+        if (u == 0) {
+            conflict.clear();
+            chain(v, [](int) { return false; });
+            return CYCLE;
+        }
+        const size_t start = lowtrail.size();
+        lowtrail.push_back({u, reason[u], lu});
+        low[u] = cand;
+        reason[u] = int(edges.size());  // the new edge, once recorded
+        todo.assign(1, u);
+        while (!todo.empty()) {
+            const int n = todo.back();
+            todo.pop_back();
+            const i64 ln = low[n];
+            for (int eid : in[n]) {
+                const int t = edges[eid].src;
+                const i64 c = ln - edges[eid].w, lt = low[t];
+                if (lt == NEG_INF || c > lt) {
+                    if (t == v || t == 0) {
+                        cycle(u, v, eid, start);
+                        undo(start);
+                        return CYCLE;
+                    }
+                    lowtrail.push_back({t, reason[t], lt});
+                    low[t] = c;
+                    reason[t] = eid;
+                    todo.push_back(t);
+                }
+            }
+        }
+        return OK;
+    }
+
+    // Append the reason edges from `x` up to the origin or the first node
+    // where `stop` holds; returns the node reached.  From a node this assert
+    // raised, the reasons lead to `u` without meeting the origin.
+    template <class Stop>
+    int chain(int x, Stop stop) {
+        while (x != 0 && !stop(x)) {
+            conflict.push_back(reason[x]);
+            x = edges[reason[x]].dst;
+        }
+        return x;
+    }
+
+    // The negative cycle found when edge `eid` would raise `v` or the origin;
+    // `start` is the trail size before this assert's raises, the first of
+    // which raised `u`.  The cycle excludes the new edge u -> v.
+    void cycle(int u, int v, int eid, size_t start) {
+        const auto is_u = [u](int x) { return x == u; };
+        conflict.clear();
+        if (edges[eid].src != v) {  // the origin: v's reason chain to it comes first
+            const i64 st = ++stamp;
+            for (size_t i = start; i < lowtrail.size(); ++i)
+                visit[lowtrail[i].node].rstamp = st;
+            const int x = chain(v, [&](int y) { return visit[y].rstamp == st; });
+            if (x != 0) {
+                chain(x, is_u);
+                return;
+            }
+        }
+        conflict.push_back(eid);
+        chain(edges[eid].dst, is_u);
     }
 
     void undo_relax() {
@@ -148,39 +242,6 @@ struct Kernel {
             }
         }
         return OK;
-    }
-
-    // Propagate origin-relative lower bounds along the new edge; false if
-    // the origin's own bound would move.
-    bool raise_low(int u, int v, i64 wt) {
-        const i64 lv = low[v];
-        if (lv == NEG_INF)
-            return true;
-        const i64 lu = low[u];
-        if (lu != NEG_INF && lv - wt <= lu)
-            return true;
-        if (u == 0)
-            return false;
-        lowtrail.emplace_back(u, lu);
-        low[u] = lv - wt;
-        todo.assign(1, u);
-        while (!todo.empty()) {
-            const int n = todo.back();
-            todo.pop_back();
-            const i64 ln = low[n];
-            for (int eid : in[n]) {
-                const int t = edges[eid].src;
-                const i64 cand = ln - edges[eid].w, lt = low[t];
-                if (lt == NEG_INF || cand > lt) {
-                    if (t == 0)
-                        return false;
-                    lowtrail.emplace_back(t, lt);
-                    low[t] = cand;
-                    todo.push_back(t);
-                }
-            }
-        }
-        return true;
     }
 };
 
@@ -333,9 +394,6 @@ PyObject *assert_edge(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
     }
     if (status == PI_OUT_OF_RANGE)
         return PyErr_Format(PyExc_OverflowError, "difference-logic potentials out of range");
-    if (status == ORIGIN_MOVED)
-        return PyErr_Format(PyExc_RuntimeError,
-                            "origin lower bound moved; feasibility check missed a cycle");
     return PyLong_FromLong(status);
 }
 
@@ -359,11 +417,17 @@ PyMethodDef kernel_methods[] = {
     {nullptr, nullptr, 0, nullptr},
 };
 
+// Only the object header can be given here: C++17 has no designated
+// initializers, so PyInit__dl_core sets the slots and the rest stay zero.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
 PyTypeObject KernelType = {PyVarObject_HEAD_INIT(nullptr, 0)};
+#pragma GCC diagnostic pop
 
 PyModuleDef module_def = {
     PyModuleDef_HEAD_INIT, "mpfjss._dl_core",
-    "Compiled difference-logic kernel, the twin of mpfjss._dl_pure.", -1, nullptr,
+    "Compiled difference-logic kernel, the twin of mpfjss._dl_pure.", -1,
+    nullptr, nullptr, nullptr, nullptr, nullptr,  // methods, slots, traverse, clear, free
 };
 
 // Add `value` to the module under `name`, taking over the reference.

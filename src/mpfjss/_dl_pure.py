@@ -6,15 +6,31 @@ set is satisfiable.  Infeasible asserts are rejected: the constraint is not
 recorded and the offending negative cycle is kept for inspection, so the
 stored set is feasible at all times.
 
-Two quantities are maintained across asserts:
+Each variable ``x`` has ``low[x]``, the strongest lower bound derivable
+against the origin, or None when no chain of constraints leads from ``x`` to
+the origin; ``low`` is exactly the earliest-start value in scheduling
+encodings.  With it goes ``reason[x]``, the edge ``x -> y`` that last raised
+it, so ``low[x] == low[y] - w`` and following reasons from ``x`` leads to the
+origin.  Both are trailed and restored by :meth:`pop`.
 
-* a feasible valuation ``pi`` used to detect negative cycles with a
-  Dijkstra-like relaxation seeded at the new edge (each node's value only ever
-  decreases, and reduced costs stay non-negative, so every node is finalised
-  at most once per assert);
-* the strongest derivable lower bound ``low`` of each variable relative to the
-  origin, propagated along incoming edges.  ``low`` is exactly the earliest-
-  start value in scheduling encodings and is restored on :meth:`pop`.
+An edge ``u -> v`` whose target has a lower bound is checked by raising
+``low`` from ``u`` (to ``low[v] - w``) backwards along incoming edges.  The
+lows are a feasible valuation of the bounded variables, so the new edge
+closes a negative cycle exactly when this would strictly raise ``v`` or the
+origin.  The assert is
+then rejected and its raises undone.  The cycle is read off the reasons: the
+raising edge, then the reason chain back to ``u``, which the new edge closes.
+When the origin would be raised, ``v``'s reason chain to the origin comes
+first; if that chain runs into a node this assert raised, the chain from
+there to ``u`` closes the cycle on its own.  One pass thus both detects the
+conflict and raises the earliest starts.
+
+An edge whose target has no lower bound raises nothing.  It is checked
+against a feasible valuation ``pi`` of the variables without lower bounds,
+by a Dijkstra-like relaxation seeded at the new edge (each node's value only
+ever decreases, and reduced costs stay non-negative, so every node is
+finalised at most once per assert).  Whatever that relaxation reaches also
+has no lower bound, since an edge into a bounded node bounds its source.
 
 The compiled backend, the hand-written C++ in ``_dl_core.cpp``, implements
 the same algorithm with the same tie-breaking; the two must be observably
@@ -24,6 +40,7 @@ identical.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import index
 
 MAX_WEIGHT = 1 << 40
 MAX_EDGES = 1 << 21
@@ -33,7 +50,7 @@ _NEW_EDGE = -1
 
 class DiffKernel:
     __slots__ = (
-        "_src", "_dst", "_w", "_out", "_in", "_pi", "_low",
+        "_src", "_dst", "_w", "_out", "_in", "_pi", "_low", "_reason",
         "_marks", "_lowmarks", "_lowtrail", "_conflict",
         "_gamma", "_gstamp", "_fstamp", "_parent", "_stamp",
     )
@@ -46,9 +63,10 @@ class DiffKernel:
         self._in: list[list[int]] = [[]]
         self._pi: list[int] = [0]
         self._low: list[int | None] = [0]
+        self._reason: list[int] = [_NEW_EDGE]
         self._marks: list[int] = []
         self._lowmarks: list[int] = []
-        self._lowtrail: list[tuple[int, int | None]] = []
+        self._lowtrail: list[tuple[int, int | None, int]] = []
         self._conflict: list[int] = []
         self._gamma: list[int] = [0]
         self._gstamp: list[int] = [0]
@@ -63,6 +81,7 @@ class DiffKernel:
         self._in.append([])
         self._pi.append(0)
         self._low.append(None)
+        self._reason.append(_NEW_EDGE)
         self._gamma.append(0)
         self._gstamp.append(0)
         self._fstamp.append(0)
@@ -91,16 +110,17 @@ class DiffKernel:
         if not self._marks:
             raise IndexError("pop without matching push")
         mark = self._marks.pop()
-        lowmark = self._lowmarks.pop()
         for eid in range(len(self._src) - 1, mark - 1, -1):
             self._out[self._src[eid]].pop()
             self._in[self._dst[eid]].pop()
         del self._src[mark:], self._dst[mark:], self._w[mark:]
-        low = self._low
-        trail = self._lowtrail
+        self._undo(self._lowmarks.pop())
+
+    def _undo(self, lowmark: int) -> None:
+        """Restore ``low`` and ``reason`` to their values at trail size ``lowmark``."""
+        low, reason, trail = self._low, self._reason, self._lowtrail
         for i in range(len(trail) - 1, lowmark - 1, -1):
-            node, old = trail[i]
-            low[node] = old
+            node, low[node], reason[node] = trail[i]
         del trail[lowmark:]
 
     # --- queries -----------------------------------------------------------
@@ -128,6 +148,8 @@ class DiffKernel:
         n = len(self._pi)
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"unknown variable in edge ({u}, {v})")
+        if type(w) is not int:
+            w = index(w)
         if not (-MAX_WEIGHT <= w <= MAX_WEIGHT):
             raise OverflowError(f"weight {w} outside +-{MAX_WEIGHT}")
         if len(self._src) >= MAX_EDGES:
@@ -136,17 +158,88 @@ class DiffKernel:
             if w < 0:
                 self._conflict = []
                 return 1
-            self._commit(u, v, w)
-            return 0
-        pi = self._pi
-        slack = pi[u] + w - pi[v]
-        if slack < 0 and not self._relax(u, v, w, slack):
-            return 1
-        self._commit(u, v, w)
-        self._raise_low(u, v, w)
+        elif self._low[v] is not None:
+            if not self._raise(u, v, self._low[v] - w):
+                return 1
+        else:
+            pi = self._pi
+            slack = pi[u] + w - pi[v]
+            if slack < 0 and not self._relax(u, v, slack):
+                return 1
+        eid = len(self._src)
+        self._src.append(u)
+        self._dst.append(v)
+        self._w.append(w)
+        self._out[u].append(eid)
+        self._in[v].append(eid)
         return 0
 
-    def _relax(self, u: int, v: int, w: int, slack: int) -> bool:
+    def _raise(self, u: int, v: int, cand: int) -> bool:
+        """Raise ``low[u]`` to ``cand`` and propagate; False (and rollback) on a cycle."""
+        low, reason = self._low, self._reason
+        lu = low[u]
+        if lu is not None and cand <= lu:
+            return True
+        if u == 0:
+            self._conflict = self._chain(v, ())
+            return False
+        trail = self._lowtrail
+        start = len(trail)
+        trail.append((u, lu, reason[u]))
+        low[u] = cand
+        reason[u] = len(self._src)  # the new edge, once recorded
+        todo = [u]
+        src, in_, wts = self._src, self._in, self._w
+        while todo:
+            n = todo.pop()
+            ln = low[n]
+            for eid in in_[n]:
+                t = src[eid]
+                cand = ln - wts[eid]
+                lt = low[t]
+                if lt is None or cand > lt:
+                    if t == v or t == 0:
+                        self._conflict = self._cycle(u, v, eid, start)
+                        self._undo(start)
+                        return False
+                    trail.append((t, lt, reason[t]))
+                    low[t] = cand
+                    reason[t] = eid
+                    todo.append(t)
+        return True
+
+    def _chain(self, x: int, stops: tuple[int, ...] | set[int]) -> list[int]:
+        """Reason edges from ``x`` up to the origin or the first node in ``stops``.
+
+        From a node this assert raised, the reasons lead to ``u`` without
+        meeting the origin.
+        """
+        reason, dst = self._reason, self._dst
+        path = []
+        while x and x not in stops:
+            eid = reason[x]
+            path.append(eid)
+            x = dst[eid]
+        return path
+
+    def _cycle(self, u: int, v: int, eid: int, start: int) -> list[int]:
+        """The negative cycle found when edge ``eid`` would raise ``v`` or the origin.
+
+        ``start`` is the trail size before this assert's raises, the first of
+        which raised ``u``.  The cycle excludes the new edge ``u -> v``.
+        """
+        dst = self._dst
+        if self._src[eid] == v:
+            return [eid] + self._chain(dst[eid], (u,))
+        # it would raise the origin: v's reason chain to it comes first
+        raised = {node for node, _, _ in self._lowtrail[start:]}
+        head = self._chain(v, raised)
+        x = dst[head[-1]]
+        if x in raised:
+            return head + self._chain(x, (u,))
+        return head + [eid] + self._chain(dst[eid], (u,))
+
+    def _relax(self, u: int, v: int, slack: int) -> bool:
         """Lower ``pi`` to absorb the new edge; False (and rollback) on a cycle."""
         self._stamp += 1
         stamp = self._stamp
@@ -193,44 +286,3 @@ class DiffKernel:
                     parent[t] = eid
                     heappush(heap, (cand, t))
         return True
-
-    def _commit(self, u: int, v: int, w: int) -> None:
-        eid = len(self._src)
-        self._src.append(u)
-        self._dst.append(v)
-        self._w.append(w)
-        self._out[u].append(eid)
-        self._in[v].append(eid)
-
-    def _raise_low(self, u: int, v: int, w: int) -> None:
-        """Propagate origin-relative lower bounds along the new edge."""
-        low = self._low
-        lv = low[v]
-        if lv is None:
-            return
-        cand = lv - w
-        lu = low[u]
-        if lu is not None and cand <= lu:
-            return
-        if u == 0:
-            raise RuntimeError("origin lower bound moved; feasibility check missed a cycle")
-        trail = self._lowtrail
-        trail.append((u, lu))
-        low[u] = cand
-        todo = [u]
-        src, in_, wts = self._src, self._in, self._w
-        while todo:
-            n = todo.pop()
-            ln = low[n]
-            for eid in in_[n]:
-                t = src[eid]
-                cand = ln - wts[eid]
-                lt = low[t]
-                if lt is None or cand > lt:
-                    if t == 0:
-                        raise RuntimeError(
-                            "origin lower bound moved; feasibility check missed a cycle"
-                        )
-                    trail.append((t, lt))
-                    low[t] = cand
-                    todo.append(t)

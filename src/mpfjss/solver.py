@@ -58,9 +58,10 @@ no schedule, so it visits the remaining nodes in the same order and finds
 the same schedules and incumbents as chronological backtracking, in at
 most as many steps.  A lower-bound prune and an optimize-mode leaf depend
 on the incumbent, and so on every decision above them; they stay
-chronological.  Which cycle the kernel reports depends on its potentials,
-so a solve pins them to the earliest starts at its first rejected assert:
-a reused search steps exactly as a fresh one.
+chronological.  The kernel reads each cycle off the edges that last raised
+the earliest starts, which depend only on the constraints asserted and are
+restored with them on every pop, so a reused search steps exactly as a
+fresh one.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class _Search:
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
         "cap", "optimizing", "deadline", "rng", "_ticks", "_stall_mark",
-        "best_t", "best", "alloc", "load", "on_key", "refuted", "pinned",
+        "best_t", "best", "alloc", "load", "on_key", "refuted",
     )
 
     def __init__(self, inst: Instance):
@@ -331,7 +332,6 @@ class _Search:
         self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
         if _definitely_unsat(self.inst, cap):
             return None
-        self.pinned = False  # see :meth:`_pin_potentials`
         kern = self.kern
         kern.push()
         try:
@@ -465,31 +465,6 @@ class _Search:
         finally:
             if nb.best_t < self.best_t:
                 self.best, self.best_t = nb.best, nb.best_t
-
-    def _pin_potentials(self) -> None:
-        """Pin the kernel's potentials to the current earliest starts.
-
-        Which negative cycle the kernel reports for a rejected assert
-        depends on its potentials: a feasible valuation that every assert
-        lowers only as far as the new edge needs, and that ``pop`` keeps,
-        so they carry traces of every solve this search ran before.
-        Nothing else a solve observes depends on them.  At the first
-        rejected assert of a solve, the order search therefore asserts
-        ``start <= earliest start`` for every task on a pushed level, which
-        the earliest schedule satisfies.  That lowers each potential to
-        exactly the origin's plus the earliest start, whatever came before,
-        and popping keeps them there.  The rejected assert is then made
-        again.  So the conflict sets, jumps and step counts of a solve do
-        not depend on the solves before it, and a solve with no rejected
-        assert pays nothing.
-        """
-        kern = self.kern
-        kern.push()
-        for n, start in enumerate(kern.earliest_all()):
-            if n:
-                kern.assert_edge(0, n, start)
-        kern.pop()
-        self.pinned = True
 
     def _lb(self) -> int:
         """Total tardiness of the earliest starts in ``self.low``.
@@ -747,9 +722,6 @@ class _Search:
                     a, b = dirs.pop(0)
                     kern.push()
                     if not self._assert_before(a, b):
-                        if not self.pinned:
-                            self._pin_potentials()
-                            self._assert_before(a, b)  # rejected again
                         frame[2] |= self._cycle_levels(k, base_edges)
                     else:
                         self.low = kern.earliest_all()

@@ -8,6 +8,7 @@ k, plus a virtual source reaching every node with weight 0.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -173,6 +174,9 @@ def test_incremental_verdict_equals_oracle_verdict(backend):
                     xi = c.x.handle if c.x.handle >= 0 else -1
                     yi = c.y.handle if c.y.handle >= 0 else -1
                     assert (xi, yi, c.k) in pool
+                # closed: every variable is entered as often as it is left
+                cycle = verdict.constraints
+                assert Counter(c.x for c in cycle) == Counter(c.y for c in cycle)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -264,10 +268,51 @@ def test_kernel_error_contract(backend):
     for w in (module.MAX_WEIGHT + 1, -module.MAX_WEIGHT - 1):
         with pytest.raises(OverflowError):
             kern.assert_edge(a, 0, w)
+    for w in (-1.5, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            kern.assert_edge(a, 0, w)
     assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
     assert kern.assert_edge(a, a, -1) == 1
     assert kern.conflict() == []
     assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_conflict_depends_only_on_the_stacked_constraints(backend):
+    """With every variable bounded from the origin, a rejected assert names
+    the cycle a fresh kernel replaying the surviving constraints names."""
+    rng = random.Random(4711)
+    rejects = 0
+    for round_ in range(60):
+        nv = rng.randint(2, 10)
+        kern = dl.make_kernel(backend)
+        nodes = [kern.add_var() for _ in range(nv)]
+        bounds = [(n, 0, -rng.randint(0, 5)) for n in nodes]  # n >= some bound
+        for bound in bounds:
+            assert kern.assert_edge(*bound) == 0
+        surviving: list[list[tuple[int, int, int]]] = [bounds]
+        for _ in range(120):
+            act = rng.random()
+            if act < 0.2:
+                kern.push()
+                surviving.append([])
+            elif act < 0.35 and kern.level() > 0:
+                kern.pop()
+                surviving.pop()
+            else:
+                edge = (rng.randrange(0, nv + 1), rng.randrange(0, nv + 1), rng.randint(-10, 10))
+                if kern.assert_edge(*edge) == 0:
+                    surviving[-1].append(edge)
+                    continue
+                fresh = dl.make_kernel(backend)
+                for _ in nodes:
+                    fresh.add_var()
+                for kept in (e for level in surviving for e in level):
+                    assert fresh.assert_edge(*kept) == 0
+                assert fresh.assert_edge(*edge) == 1
+                assert kern.conflict() == fresh.conflict()
+                rejects += 1
+    assert rejects > 1000
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
@@ -294,9 +339,7 @@ def test_backends_agree_step_by_step():
                     xv = e.zero if x == -1 else vs[x]
                     yv = e.zero if y == -1 else vs[y]
                     c = e.assert_upper(xv, yv, k)
-                    results.append(
-                        None if c is None else [(a.x.handle, a.y.handle, a.k) for a in c.constraints]
-                    )
+                    results.append(None if c is None else e._kern.conflict())
                 assert results[0] == results[1]
             # after every push, pop and assert, so that a bad restore shows where it happened
             earliest = [e._kern.earliest_all() for e in engines]
