@@ -6,6 +6,8 @@
 // from its source, trailing each node's `reason` edge with it, and rejects
 // the assert when it would raise the target or the origin; only an assert
 // into a node without one repairs the potentials `pi` by a Dijkstra pass.
+// `changed()` reads the trail of raises back to the last push, one node per
+// raise, so the search updates what it derives from `low` by what changed.
 // `Kernel` is plain C++; the functions below it convert arguments and results
 // and turn its status codes into Python exceptions.  setup.py builds it.
 
@@ -264,16 +266,16 @@ i64 to_id(PyObject *arg, size_t n) {
 
 PyObject *bound(i64 x) { return x == NEG_INF ? Py_NewRef(Py_None) : PyLong_FromLongLong(x); }
 
-// A new list of `convert(x)` for each `x` in `xs`.
-template <class T, class F>
-PyObject *list_of(const std::vector<T> &xs, F convert) {
-    PyObject *list = PyList_New(Py_ssize_t(xs.size()));
-    for (size_t i = 0; list != nullptr && i < xs.size(); ++i) {
-        PyObject *x = convert(xs[i]);
+// A new list of `convert(x)` for each `x` in [first, last).
+template <class It, class F>
+PyObject *list_of(It first, It last, F convert) {
+    PyObject *list = PyList_New(last - first);
+    for (Py_ssize_t i = 0; list != nullptr && first != last; ++i, ++first) {
+        PyObject *x = convert(*first);
         if (x == nullptr)
             Py_CLEAR(list);
         else
-            PyList_SET_ITEM(list, Py_ssize_t(i), x);
+            PyList_SET_ITEM(list, i, x);
     }
     return list;
 }
@@ -357,11 +359,20 @@ PyObject *earliest(PyObject *self, PyObject *arg) {
 }
 
 PyObject *earliest_all(PyObject *self, PyObject *) {
-    return list_of(kernel(self).low, bound);
+    const Kernel &k = kernel(self);
+    return list_of(k.low.begin(), k.low.end(), bound);
+}
+
+PyObject *changed(PyObject *self, PyObject *) {
+    const Kernel &k = kernel(self);
+    const size_t mark = k.marks.empty() ? 0 : k.marks.back().second;
+    return list_of(k.lowtrail.begin() + mark, k.lowtrail.end(),
+                   [](const Kernel::Raise &r) { return PyLong_FromLong(r.node); });
 }
 
 PyObject *conflict(PyObject *self, PyObject *) {
-    return list_of(kernel(self).conflict, PyLong_FromLong);
+    const Kernel &k = kernel(self);
+    return list_of(k.conflict.begin(), k.conflict.end(), PyLong_FromLong);
 }
 
 PyObject *assert_edge(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
@@ -408,6 +419,9 @@ PyMethodDef kernel_methods[] = {
     {"earliest", earliest, METH_O,
      "Strongest lower bound of `v` against the origin, or None."},
     {"earliest_all", earliest_all, METH_NOARGS, nullptr},
+    {"changed", changed, METH_NOARGS,
+     "Nodes whose `low` rose since the last push, one entry per raise.\n\n"
+     "Empty right after push; a rejected assert leaves it as it was."},
     {"conflict", conflict, METH_NOARGS,
      "Edge ids of the last rejected assert's cycle, excluding the new edge."},
     {"assert_edge", reinterpret_cast<PyCFunction>(reinterpret_cast<void (*)()>(assert_edge)),

@@ -11,7 +11,10 @@ against the origin, or None when no chain of constraints leads from ``x`` to
 the origin; ``low`` is exactly the earliest-start value in scheduling
 encodings.  With it goes ``reason[x]``, the edge ``x -> y`` that last raised
 it, so ``low[x] == low[y] - w`` and following reasons from ``x`` leads to the
-origin.  Both are trailed and restored by :meth:`pop`.
+origin.  Both are trailed and restored by :meth:`pop`.  :meth:`changed`
+reads the trail back to the last push: the nodes whose ``low`` rose since,
+one entry per raise, so a caller can update what it derives from ``low``
+by what an assert changed instead of rescanning every node.
 
 An edge ``u -> v`` whose target has a lower bound is checked by raising
 ``low`` from ``u`` (to ``low[v] - w``) backwards along incoming edges.  The
@@ -133,6 +136,14 @@ class DiffKernel:
 
     def earliest_all(self) -> list[int | None]:
         return list(self._low)
+
+    def changed(self) -> list[int]:
+        """Nodes whose ``low`` rose since the last push, one entry per raise.
+
+        Empty right after :meth:`push`; a rejected assert leaves it as it was.
+        """
+        mark = self._lowmarks[-1] if self._lowmarks else 0
+        return [node for node, _, _ in self._lowtrail[mark:]]
 
     def conflict(self) -> list[int]:
         """Edge ids of the last rejected assert's cycle, excluding the new edge."""

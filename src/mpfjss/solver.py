@@ -62,6 +62,17 @@ chronological.  The kernel reads each cycle off the edges that last raised
 the earliest starts, which depend only on the constraints asserted and are
 restored with them on every pop, so a reused search steps exactly as a
 fresh one.
+
+An order-search node costs what its assert changed, as difference-logic
+propagation in clingo[DL] touches only what an assert changes.  The kernel
+names the nodes whose earliest start an assert raised (``changed()``).
+Each level of the order search keeps its total tardiness, the lower bound
+that prunes, with each job's latest sink end, and updates them from the
+raised sinks alone; a popped level leaves its parent's values as they
+were.  The state every order search starts from is computed once per
+solve.  Each level also keeps a heap of the pairs left, keyed by their
+earliest starts: the next level re-keys only the pairs on raised nodes,
+instead of a scan of every remaining pair at every level.
 """
 
 from __future__ import annotations
@@ -69,6 +80,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Collection, Iterable, NamedTuple
 
 from . import dl
@@ -240,13 +252,14 @@ class _Search:
     # a small exact solve); slots keep those reads fast.
     __slots__ = (
         # built once per instance; ``reoptimize`` rebuilds ``class_groups`` for one step
-        "inst", "all_tasks", "dur", "due", "kern", "node", "sinks", "base_level", "low",
-        "root_lb", "release", "same_pairs", "class_groups", "slots", "pair_bit",
+        "inst", "all_tasks", "dur", "due", "kern", "node", "sinks", "sink_at", "base_level",
+        "low", "root_lb", "release", "same_pairs", "class_groups", "slots", "pair_bit",
+        "pair_nodes",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
         "cap", "optimizing", "deadline", "rng", "_ticks", "_stall_mark",
-        "best_t", "best", "alloc", "load", "on_key", "refuted",
+        "best_t", "best", "alloc", "load", "on_key", "refuted", "order_root",
     )
 
     def __init__(self, inst: Instance):
@@ -271,6 +284,11 @@ class _Search:
                     for o in sorted(j.operations) if o not in preds]
             if ends:
                 self.sinks.append((j.deadline, ends))
+        # per kernel node: (job's index in ``sinks``, duration, deadline) of a sink
+        self.sink_at: list[tuple[int, int, int] | None] = [None] * self.kern.num_vars()
+        for j, (due, ends) in enumerate(self.sinks):
+            for n, d in ends:
+                self.sink_at[n] = (j, d, due)
         self._assert_base()
         self.base_level = self.kern.level()
         # earliest starts of every node, refreshed after each successful
@@ -283,8 +301,10 @@ class _Search:
         self.same_pairs = _same_job_pairs(inst)
         self.class_groups = self._build_groups()
         self.slots = self._build_slots()
-        # one bit per conflict pair, given out as leaves meet new pairs
+        # one bit per conflict pair, given out as leaves meet new pairs, and
+        # the pair's kernel nodes, cached with it
         self.pair_bit: dict[tuple[Task, Task], int] = {}
+        self.pair_nodes: dict[tuple[Task, Task], tuple[int, int]] = {}
 
         # set only for a neighbourhood step (see :meth:`reoptimize`): tasks
         # kept on their instances, and their directed conflict pairs
@@ -343,6 +363,9 @@ class _Search:
             for a, b in self.kept_order:
                 if not self._assert_before(a, b):
                     return None
+            # every order search starts from this kernel state, whatever the leaf
+            self.low = kern.earliest_all()
+            self.order_root = (self._lb(), self._sink_ends())
             return self._allocate()
         finally:
             while kern.level() > self.base_level:
@@ -466,18 +489,50 @@ class _Search:
             if nb.best_t < self.best_t:
                 self.best, self.best_t = nb.best, nb.best_t
 
+    def _sink_ends(self) -> list[int]:
+        """Each job's latest sink end under the earliest starts in ``self.low``."""
+        low = self.low
+        return [max(low[n] + d for n, d in ends) for _, ends in self.sinks]
+
     def _lb(self) -> int:
         """Total tardiness of the earliest starts in ``self.low``.
 
         A lower bound inside the order search, the exact total at its leaves.
+        The order search keeps it per level instead (:meth:`_raised_bound`);
+        this full computation gives ``root_lb`` and each solve's root state.
         """
-        low = self.low
         total = 0
-        for due, ends in self.sinks:
-            late = max(low[n] + d for n, d in ends) - due
-            if late > 0:
-                total += late
+        for end, (due, _) in zip(self._sink_ends(), self.sinks):
+            if end > due:
+                total += end - due
         return total
+
+    def _raised_bound(self, bound: tuple[int, list[int]],
+                      raised: list[int]) -> tuple[int, list[int]]:
+        """``bound`` after an assert that raised the nodes in ``raised``.
+
+        ``bound`` is ``(_lb(), _sink_ends())`` before the assert.  Earliest
+        starts only rise, so each job's latest sink end is the larger of its
+        old value and the new ends of its raised sinks, and the total grows
+        by the extra lateness.  The ends are copied only when one rises.
+        """
+        total, ends = bound
+        low, sink_at = self.low, self.sink_at
+        copied = False
+        for n in raised:
+            sink = sink_at[n]
+            if sink is not None:
+                j, d, due = sink
+                end = low[n] + d
+                old = ends[j]
+                if end > old:
+                    if not copied:
+                        ends = ends.copy()
+                        copied = True
+                    ends[j] = end
+                    if end > due:
+                        total += end - (old if old > due else due)
+        return total, ends
 
     def _starts(self) -> dict[Task, int]:
         low = self.low
@@ -620,6 +675,7 @@ class _Search:
             bit = bits.get(p)
             if bit is None:
                 bit = bits[p] = 1 << len(bits)
+                self.pair_nodes[p] = (self.node[p[0]], self.node[p[1]])
             mask |= bit
         return mask
 
@@ -630,28 +686,49 @@ class _Search:
                 return True
         return False
 
-    def _pick_pair(self, remaining: set) -> tuple[tuple[Task, Task], list]:
-        """The pair whose earlier task can start first, and its directions.
+    def _pick_pair(self, heap: list, raised: list[int], remaining: dict,
+                   on_node: dict) -> tuple[tuple[Task, Task], list, list]:
+        """The pair whose earlier task can start first, its directions, and the heap left.
 
         Ties go to the later of the two earliest starts, then to the pair
         itself; the task with the earlier (start, name) goes first.
+
+        ``remaining`` maps each pair left to its kernel nodes, and
+        ``on_node`` each node to the pairs on it.  ``heap``, the level
+        above's, holds every remaining pair's key as it was when pushed.
+        Earliest starts only rise down the tree, so no key exceeds its
+        pair's current one, and only the pairs on the nodes in ``raised``,
+        which the last assert raised, can have moved.  A copy of ``heap``
+        gets their current keys, and a key that reaches its top out of date,
+        or whose pair is gone, is dropped.  So no Python function runs per
+        remaining pair, and ``heap`` itself stays as it was for the levels
+        that come back to it.
         """
-        low, node = self.low, self.node
-
-        def key(pair):
-            la, lb = low[node[pair[0]]], low[node[pair[1]]]
-            return (la, lb, pair) if la <= lb else (lb, la, pair)
-
-        pair = min(remaining, key=key)
+        low = self.low
+        heap = heap.copy()
+        for n in raised:
+            for p in on_node.get(n, ()):
+                ab = remaining.get(p)
+                if ab is not None:
+                    x, y = low[ab[0]], low[ab[1]]
+                    heappush(heap, (x, y, p) if x <= y else (y, x, p))
+        while True:
+            x, y, pair = heappop(heap)
+            ab = remaining.get(pair)
+            if ab is not None:
+                la, lb = low[ab[0]], low[ab[1]]
+                if (la, lb) == (x, y) or (lb, la) == (x, y):
+                    break
         a, b = pair
-        if (low[node[a]], a) <= (low[node[b]], b):
-            return pair, [(a, b), (b, a)]
-        return pair, [(b, a), (a, b)]
+        if (la, a) <= (lb, b):
+            return pair, [(a, b), (b, a)], heap
+        return pair, [(b, a), (a, b)], heap
 
-    def _promising(self) -> bool:
+    def _promising(self, lb: int) -> bool:
+        """May a node whose total tardiness is at least ``lb`` beat the incumbent?"""
         if not self.optimizing or self.best_t is None:
             return True
-        return self._lb() < self.best_t
+        return lb < self.best_t
 
     def _cycle_levels(self, k: int, base_edges: int) -> int:
         """The levels whose edges close the cycle that rejected level ``k``'s assert.
@@ -690,16 +767,39 @@ class _Search:
         decision so far.  Only subtrees that cycles prove empty are skipped,
         and the rest are visited in the same order, so every result and
         incumbent is the one chronological backtracking would find.
+
+        Each level also keeps ``(total, ends)`` after its assert: the total
+        tardiness of the earliest starts, which is what ``_promising`` and
+        the leaf compare, and each job's latest sink end.
+        :meth:`_raised_bound` derives them from the level above, or from
+        the solve's ``order_root``, and the nodes the assert raised.  A
+        level's values are never changed in place, so popping back to it
+        restores them.  So is each level's heap of the pairs left, from
+        which :meth:`_pick_pair` picks the next level's pair.
         """
         kern = self.kern
         base = kern.level()
         base_edges = kern.num_edges()
-        remaining = set(pairs)
-        frames: list[list] = []  # per level: [pair, directions left, conflict set]
-        self.low = kern.earliest_all()
+        nodes = self.pair_nodes
+        remaining = {p: nodes[p] for p in pairs}
+        on_node: dict[int, list[tuple[Task, Task]]] = {}
+        for p, (a, b) in remaining.items():
+            on_node.setdefault(a, []).append(p)
+            on_node.setdefault(b, []).append(p)
+        # per level: [pair, directions left, conflict set, bound after its
+        # assert, heap of the pairs left after its pick]
+        frames: list[list] = []
+        low = self.low = kern.earliest_all()
+        # keys (earlier start, later start, pair), as :meth:`_pick_pair` orders them
+        root_heap = [(x, y, p) if (x := low[a]) <= (y := low[b]) else (y, x, p)
+                     for p, (a, b) in remaining.items()]
+        heapify(root_heap)
+        # the deepest level's bound and the nodes its assert raised
+        root = bound = self.order_root
+        raised: list[int] = []
         while True:
             if len(frames) == len(pairs):
-                res = self._order_leaf()
+                res = self._order_leaf(bound[0])
                 if res is not None:
                     while kern.level() > base:
                         kern.pop()
@@ -709,9 +809,10 @@ class _Search:
                 frames[-1][2] |= (1 << (len(frames) - 1)) - 1
                 kern.pop()
             else:
-                pair, dirs = self._pick_pair(remaining)
-                remaining.discard(pair)
-                frames.append([pair, dirs, 0])
+                heap = frames[-1][4] if frames else root_heap
+                pair, dirs, heap = self._pick_pair(heap, raised, remaining, on_node)
+                del remaining[pair]
+                frames.append([pair, dirs, 0, None, heap])
             while True:
                 self._tick()
                 k = len(frames) - 1
@@ -725,7 +826,10 @@ class _Search:
                         frame[2] |= self._cycle_levels(k, base_edges)
                     else:
                         self.low = kern.earliest_all()
-                        if self._promising():
+                        raised = kern.changed()
+                        bound = self._raised_bound(frames[k - 1][3] if k else root, raised)
+                        if self._promising(bound[0]):
+                            frame[3] = bound
                             advanced = True
                             break
                         frame[2] |= (1 << k) - 1
@@ -739,16 +843,19 @@ class _Search:
                     return None
                 h = culprits.bit_length() - 1
                 for dropped in frames[h + 1:]:
-                    remaining.add(dropped[0])
+                    remaining[dropped[0]] = nodes[dropped[0]]
                 del frames[h + 1:]
                 while kern.level() > base + h:
                     kern.pop()
                 frames[h][2] |= culprits ^ (1 << h)
 
-    def _order_leaf(self) -> Schedule | None:
+    def _order_leaf(self, total: int) -> Schedule | None:
+        """A complete order: its schedule when deciding, else a better incumbent.
+
+        ``total`` is the total tardiness of its earliest starts.
+        """
         if not self.optimizing:
             return build_schedule(self.inst, self._starts(), self.alloc)
-        total = self._lb()
         if self.best_t is None or total < self.best_t:
             self.best_t = total
             self.best = (self._starts(), {t: dict(cs) for t, cs in self.alloc.items()})

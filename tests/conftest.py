@@ -6,6 +6,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+from collections import Counter
 
 
 def _build_compiled_kernel():
@@ -71,29 +72,37 @@ def example_instance():
     return load_instance(DATA / "example.lp")
 
 
-def random_tiny_instance(rng):
+def random_tiny_instance(rng, *, twin_workers=False):
     """A random instance small enough for the exhaustive oracle.
 
     Two or three jobs over at most four operation types, two workers, one
     machine that covers whatever demands it; every operation keeps at least
     one capable worker so the instance is always solvable.
+
+    With ``twin_workers``, half of the draws give both workers every
+    operation, so that the two are interchangeable, which otherwise rarely
+    happens; those draws give each job at most two operations, as twice the
+    allocations would otherwise put nine tasks out of the oracle's reach.
+    Without it, ``rng`` draws exactly what it always drew.
     """
     names = ["a", "b", "c", "d"][: rng.randint(2, 4)]
     dur = {o: rng.randint(1, 3) for o in names}
     m_need = {o for o in names if rng.random() < 0.4}
+    twins = twin_workers and rng.random() < 0.5
     lines = [f"op({o},{dur[o]})." for o in names]
     for o in names:
         lines.append(f"needs({o},w).")
         if o in m_need:
             lines.append(f"needs({o},m).")
     for o in names:
-        for i in rng.sample([1, 2], rng.randint(1, 2)):
+        workers = rng.sample([1, 2], rng.randint(1, 2))
+        for i in [1, 2] if twins else workers:
             lines.append(f"res(w,{i},{o}).")
     for o in sorted(m_need):
         lines.append(f"res(m,1,{o}).")
     for nj in range(1, rng.randint(2, 3) + 1):
         job = f"j{nj}"
-        ops = sorted(rng.sample(names, rng.randint(1, min(3, len(names)))))
+        ops = sorted(rng.sample(names, rng.randint(1, min(2 if twins else 3, len(names)))))
         lines.append(f"job({job},{rng.randint(0, 6)}).")
         for o in ops:
             lines.append(f"recipe({job},{o}).")
@@ -102,6 +111,12 @@ def random_tiny_instance(rng):
                 if rng.random() < 0.35:
                     lines.append(f"prec({job},{ops[i]},{ops[k]}).")
     return parse_instance("\n".join(lines))
+
+
+def interchangeable(inst):
+    """Do two instances of one class have the same capabilities?"""
+    groups = Counter((r.cls, frozenset(r.capabilities)) for r in inst.resources)
+    return max(groups.values()) >= 2
 
 
 @pytest.fixture

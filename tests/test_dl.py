@@ -252,8 +252,22 @@ def test_kernel_error_contract(backend):
     kern = dl.make_kernel(backend)
     a = kern.add_var()
     assert kern.assert_edge(a, 0, -3) == 0  # a >= 3
+    assert kern.changed() == [a]  # nothing pushed: every raise so far
     assert kern.assert_edge(0, a, 2) == 1  # a <= 2 closes a negative cycle
     assert kern.conflict() == [0]
+    assert kern.changed() == [a]
+    kern.push()
+    assert kern.changed() == []
+    b = kern.add_var()
+    assert kern.assert_edge(b, a, -1) == 0  # b >= a + 1
+    assert kern.changed() == [b]
+    kern.push()
+    assert kern.changed() == []
+    kern.pop()
+    assert kern.changed() == [b]
+    # a >= b raises a, then would raise b: rejected, and the raise of a undone
+    assert kern.assert_edge(a, b, 0) == 1
+    assert kern.changed() == [b]
     nodes, edges, lows = kern.num_vars(), kern.num_edges(), kern.earliest_all()
     for bad in (-1, nodes):
         with pytest.raises(IndexError):
@@ -271,10 +285,10 @@ def test_kernel_error_contract(backend):
     for w in (-1.5, 2.0, "3", None):
         with pytest.raises(TypeError):
             kern.assert_edge(a, 0, w)
-    assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
+    assert (kern.num_edges(), kern.earliest_all(), kern.changed()) == (edges, lows, [b])
     assert kern.assert_edge(a, a, -1) == 1
     assert kern.conflict() == []
-    assert (kern.num_edges(), kern.earliest_all()) == (edges, lows)
+    assert (kern.num_edges(), kern.earliest_all(), kern.changed()) == (edges, lows, [b])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -322,12 +336,15 @@ def test_backends_agree_step_by_step():
         nv = rng.randint(2, 12)
         engines = [DLEngine(backend=b) for b in BACKENDS]
         vars_ = [[e.new_var(i) for i in range(nv)] for e in engines]
+        at_push = [engines[0]._kern.earliest_all()]  # per level, the lows it began with
         for _ in range(120):
             act = rng.random()
             if act < 0.2:
+                at_push.append(engines[0]._kern.earliest_all())
                 for e in engines:
                     e.push()
             elif act < 0.35 and engines[0].level() > 0:
+                at_push.pop()
                 for e in engines:
                     e.pop()
             else:
@@ -344,6 +361,10 @@ def test_backends_agree_step_by_step():
             # after every push, pop and assert, so that a bad restore shows where it happened
             earliest = [e._kern.earliest_all() for e in engines]
             assert earliest[0] == earliest[1]
+            changed = [e._kern.changed() for e in engines]
+            assert changed[0] == changed[1]
+            begun = at_push[-1]
+            assert set(changed[0]) == {n for n, low in enumerate(earliest[0]) if low != begun[n]}
         lows = [[e.lower_bound(v) for v in vs] for e, vs in zip(engines, vars_)]
         assert lows[0] == lows[1]
 

@@ -43,7 +43,7 @@ from mpfjss.solver import (
     decide,
 )
 
-from conftest import DATA, _EveryInstance, random_tiny_instance
+from conftest import DATA, _EveryInstance, interchangeable, random_tiny_instance
 
 # the 3-job shop of acceptance criterion 8, at other job counts
 SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
@@ -221,8 +221,14 @@ class _CheckedSearch(_Search):
     instances in use and the next unused one.  At every assert the order
     search rejects, it checks that the ``conflict()`` edges and the
     rejected edge close a cycle of negative weight, and that each of the
-    cycle's levels asserted the edge the cycle names.  It gives up after a fixed number of steps, so that large random
-    instances stay cheap and the test does the same work on every run.
+    cycle's levels asserted the edge the cycle names.  At every order
+    node, and at every leaf, it checks the level's incremental tardiness
+    bound against one recomputed from the kernel; at every pick, that the
+    pair and its directions are those a full scan with a key function
+    finds, that the heap it was handed is unchanged, and that the heap left
+    holds a key no greater than the current one for every pair left.  It
+    gives up after a fixed number of steps, so that large random instances
+    stay cheap and the test does the same work on every run.
     """
 
     STEPS = 3000
@@ -311,15 +317,35 @@ class _CheckedSearch(_Search):
         self.rejects += 1
         return mask
 
-    def _pick_pair(self, remaining):
+    def _pick_pair(self, heap, raised, remaining, on_node):
         assert self._lb() == self._full_lb()
+        node, low = self.node, self.low
+        assert remaining == {p: (node[p[0]], node[p[1]]) for p in remaining}
         self.nodes += 1
-        return super()._pick_pair(remaining)
+        before = list(heap)
+        pair, dirs, left = super()._pick_pair(heap, raised, remaining, on_node)
+        assert heap == before
 
-    def _promising(self):
-        assert self._lb() == self._full_lb()
+        def key(pair):
+            la, lb = low[node[pair[0]]], low[node[pair[1]]]
+            return (la, lb, pair) if la <= lb else (lb, la, pair)
+
+        want = a, b = min(remaining, key=key)
+        first = (a, b) if (low[node[a]], a) <= (low[node[b]], b) else (b, a)
+        assert (pair, dirs) == (want, [first, first[::-1]])
+        # every other pair keeps a key no greater than its current one
+        for p in remaining.keys() - {pair}:
+            assert any(k[2] == p and k <= key(p) for k in left)
+        return pair, dirs, left
+
+    def _promising(self, lb):
+        assert lb == self._lb() == self._full_lb()
         self.nodes += 1
-        return super()._promising()
+        return super()._promising(lb)
+
+    def _order_leaf(self, total):
+        assert total == self._full_lb()
+        return super()._order_leaf(total)
 
 
 def _random_instances():
@@ -354,9 +380,10 @@ def test_search_shortcuts_match_facade_recomputation():
 @pytest.mark.parametrize("symmetry_breaking", [True, False])
 def test_memo_changes_no_result(symmetry_breaking):
     rng = random.Random(77)
-    memo_steps = plain_steps = 0
+    memo_steps = plain_steps = groups = 0
     for _ in range(25):
-        inst = random_tiny_instance(rng)
+        inst = random_tiny_instance(rng, twin_workers=symmetry_breaking)
+        groups += interchangeable(inst)
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap in sorted({0, 1, 3, serial // 2, serial}):
             for optimizing in (False, True):
@@ -370,6 +397,7 @@ def test_memo_changes_no_result(symmetry_breaking):
                 memo_steps += memo._ticks
                 plain_steps += plain._ticks
     assert memo_steps < plain_steps
+    assert not symmetry_breaking or groups >= 0.4 * 25
 
 
 # -- backjumping ------------------------------------------------------------
@@ -377,9 +405,10 @@ def test_memo_changes_no_result(symmetry_breaking):
 @pytest.mark.parametrize("symmetry_breaking", [True, False])
 def test_backjumping_changes_no_result(symmetry_breaking):
     rng = random.Random(78)
-    jump_steps = chrono_steps = 0
+    jump_steps = chrono_steps = groups = 0
     for _ in range(25):
-        inst = random_tiny_instance(rng)
+        inst = random_tiny_instance(rng, twin_workers=symmetry_breaking)
+        groups += interchangeable(inst)
         serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
         for cap in sorted({0, 1, 3, serial // 2, serial}):
             for optimizing in (False, True):
@@ -393,6 +422,7 @@ def test_backjumping_changes_no_result(symmetry_breaking):
                 jump_steps += jump._ticks
                 chrono_steps += chrono._ticks
     assert jump_steps < chrono_steps
+    assert not symmetry_breaking or groups >= 0.4 * 25
 
 
 def _step_capped(cls, steps):

@@ -19,7 +19,7 @@ from mpfjss.solver import (
 )
 from mpfjss.validate import check_schedule, total_tardiness
 
-from conftest import _EveryInstance
+from conftest import _EveryInstance, interchangeable
 from test_model import _chain_text
 from test_validator import ALLOC, STARTS_A
 
@@ -278,8 +278,10 @@ def test_optimize_nonincreasing_in_cap(tiny_factory):
 
 def test_symmetry_breaking_changes_nothing(tiny_factory):
     rng = random.Random(246)
+    groups = 0
     for _ in range(10):
-        inst = tiny_factory(rng)
+        inst = tiny_factory(rng, twin_workers=True)
+        groups += interchangeable(inst)
         unbroken = _EveryInstance(inst)
         for cap in (0, 1, 3):
             a = decide(inst, cap)
@@ -289,6 +291,7 @@ def test_symmetry_breaking_changes_nothing(tiny_factory):
         ta = optimize(inst, cap).schedule.total_tardiness
         tb = optimize(inst, cap, search=unbroken).schedule.total_tardiness
         assert ta == tb
+    assert groups >= 0.4 * 10  # the group rule has groups to act on
 
 
 def test_solver_backends_agree(monkeypatch, example_instance):
