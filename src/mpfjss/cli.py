@@ -84,6 +84,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.days < 1:
+        return _fail(f"--days must be positive, got {args.days}", EXIT_PARSE)
     try:
         params = GenParams(
             op_types=args.op_types, machines=args.machines,
@@ -150,6 +152,8 @@ def cmd_bench(args) -> int:
         StrategyConfig(window=args.window, timeout=args.timeout)
     except ValueError as exc:
         return _fail(str(exc), EXIT_PARSE)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be positive, got {args.jobs}", EXIT_PARSE)
     strategies = args.strategy or ["exp"]
     paths = sorted(p for p in root.iterdir() if p.suffix in (".lp", ".json"))
     work = [(str(p), s, args.window, args.timeout) for p in paths for s in strategies]

@@ -178,7 +178,6 @@ def parse_instance(text: str) -> Instance:
     all raise :class:`ParseError` or :class:`SemanticError`.
     """
     ops: dict[str, int] = {}
-    op_line: dict[str, tuple[str, int]] = {}
     needs: dict[str, set[str]] = {}
     res: dict[tuple[str, int], set[str]] = {}
     job_deadline: dict[str, int] = {}
@@ -213,7 +212,6 @@ def parse_instance(text: str) -> Instance:
                         f"operation {o} redeclared with duration {d} (was {ops[o]})", fact, lineno
                     )
                 ops[o] = d
-                op_line.setdefault(o, (fact, lineno))
             elif name == "needs":
                 o = _check_id(args[0], "operation id", lineno, col)
                 c = _check_id(args[1], "class id", lineno, col)
@@ -385,21 +383,32 @@ def instance_from_json(obj: dict) -> Instance:
     for key in ("operations", "resources", "demands", "jobs"):
         if not isinstance(obj.get(key), list):
             raise SemanticError(f"instance JSON needs a `{key}` array")
+    # repeated entries merge, as repeated facts do; a conflicting duration
+    # or deadline is an error, as in the fact format
     try:
-        ops = {str(o["id"]): int(o["duration"]) for o in obj["operations"]}
+        ops: dict[str, int] = {}
+        for o in obj["operations"]:
+            name, d = str(o["id"]), int(o["duration"])
+            if ops.setdefault(name, d) != d:
+                raise SemanticError(f"operation {name} redeclared with duration {d} (was {ops[name]})")
         res: dict[tuple[str, int], set[str]] = {}
         for r in obj["resources"]:
             key = (str(r["class"]), int(r["index"]))
             res.setdefault(key, set()).update(str(c) for c in r["capabilities"])
-        needs = {str(d["op"]): set(map(str, d["classes"])) for d in obj["demands"]}
+        needs: dict[str, set[str]] = {}
+        for dm in obj["demands"]:
+            needs.setdefault(str(dm["op"]), set()).update(map(str, dm["classes"]))
         job_deadline: dict[str, int] = {}
         recipes: dict[str, set[str]] = {}
         precs: dict[str, set[tuple[str, str]]] = {}
         for j in obj["jobs"]:
-            name = str(j["id"])
-            job_deadline[name] = int(j["deadline"])
-            recipes[name] = set(map(str, j["operations"]))
-            precs[name] = {(str(a), str(b)) for a, b in j.get("precedence", [])}
+            name, d = str(j["id"]), int(j["deadline"])
+            if job_deadline.setdefault(name, d) != d:
+                raise SemanticError(
+                    f"job {name} redeclared with deadline {d} (was {job_deadline[name]})")
+            recipes.setdefault(name, set()).update(map(str, j["operations"]))
+            precs.setdefault(name, set()).update(
+                (str(a), str(b)) for a, b in j.get("precedence", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise SemanticError(f"malformed instance JSON: {exc}") from exc
 

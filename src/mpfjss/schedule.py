@@ -8,6 +8,7 @@ carry a stale completion map.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .model import Instance, SemanticError, Task
@@ -39,16 +40,20 @@ class Schedule:
 
     def completion(self) -> dict[str, int]:
         """Per-job completion time: the latest end among the job's tasks."""
-        done: dict[str, int] = {}
-        for a in self.assignments:
-            done[a.job] = max(done.get(a.job, 0), a.end)
-        return done
+        return _completion(self.assignments)
 
     def start_of(self, task: Task) -> int:
         for a in self.assignments:
             if a.task == task:
                 return a.start
         raise KeyError(task)
+
+
+def _completion(assignments: Iterable[Assignment]) -> dict[str, int]:
+    done: dict[str, int] = {}
+    for a in assignments:
+        done[a.job] = max(done.get(a.job, 0), a.end)
+    return done
 
 
 def build_schedule(inst: Instance, starts: dict[Task, int], alloc: Allocation) -> Schedule:
@@ -69,9 +74,7 @@ def build_schedule(inst: Instance, starts: dict[Task, int], alloc: Allocation) -
         assignments.append(
             Assignment(job, op, start, start + inst.duration(op), resources)
         )
-    completion: dict[str, int] = {}
-    for a in assignments:
-        completion[a.job] = max(completion.get(a.job, 0), a.end)
+    completion = _completion(assignments)
     tardiness = {
         j.name: max(0, completion.get(j.name, 0) - j.deadline) for j in inst.jobs
     }

@@ -252,9 +252,9 @@ class _Search:
     # a small exact solve); slots keep those reads fast.
     __slots__ = (
         # built once per instance; ``reoptimize`` rebuilds ``class_groups`` for one step
-        "inst", "all_tasks", "dur", "due", "kern", "node", "sinks", "sink_at", "base_level",
-        "low", "root_lb", "release", "same_pairs", "class_groups", "slots", "pair_bit",
-        "pair_nodes",
+        "inst", "all_tasks", "dur", "due", "kern", "node", "sink_at", "base_level",
+        "low", "base_bound", "root_lb", "release", "same_pairs", "class_groups", "slots",
+        "pair_bit", "pair_nodes",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
@@ -275,26 +275,19 @@ class _Search:
         self.kern = dl.make_kernel()
         # one kernel node per task; node 0 is the origin
         self.node = {t: self.kern.add_var() for t in self.all_tasks}
-        # jobs as (deadline, [(node, duration) of tasks with no same-job
-        # successor]): precedence ends every other task before one of these
-        self.sinks = []
-        for j in inst.jobs:
-            preds = {a for a, _ in j.precedence}
-            ends = [(self.node[(j.name, o)], inst.duration(o))
-                    for o in sorted(j.operations) if o not in preds]
-            if ends:
-                self.sinks.append((j.deadline, ends))
-        # per kernel node: (job's index in ``sinks``, duration, deadline) of a sink
+        # per kernel node: (job's index, duration, deadline) of a sink, a task
+        # with no same-job successor; precedence ends every other task before one
         self.sink_at: list[tuple[int, int, int] | None] = [None] * self.kern.num_vars()
-        for j, (due, ends) in enumerate(self.sinks):
-            for n, d in ends:
-                self.sink_at[n] = (j, d, due)
+        for j, job in enumerate(inst.jobs):
+            for o in job.operations - {a for a, _ in job.precedence}:
+                self.sink_at[self.node[(job.name, o)]] = (j, inst.duration(o), job.deadline)
         self._assert_base()
         self.base_level = self.kern.level()
         # earliest starts of every node, refreshed after each successful
         # assert; a cap's latest starts leave them as they are here
         self.low = self.kern.earliest_all()
-        self.root_lb = self._lb()
+        self.base_bound = self._raised_bound((0, [0] * len(inst.jobs)), range(self.kern.num_vars()))
+        self.root_lb = self.base_bound[0]
         # earliest starts implied by precedence alone, for the packing check
         self.release = self._starts()
 
@@ -307,9 +300,9 @@ class _Search:
         self.pair_nodes: dict[tuple[Task, Task], tuple[int, int]] = {}
 
         # set only for a neighbourhood step (see :meth:`reoptimize`): tasks
-        # kept on their instances, and their directed conflict pairs
+        # kept on their instances, and their conflict pairs, each to its direction
         self.keep: Allocation = {}
-        self.kept_order: list[tuple[Task, Task]] = []
+        self.kept_order: dict[tuple[Task, Task], tuple[Task, Task]] = {}
         self.step_limit: int | None = None
         self._neighbour: _Search | None = None  # built at the first stall
 
@@ -360,12 +353,13 @@ class _Search:
                 # start, so the base ``low`` and ``release`` stay exact
                 if kern.assert_edge(0, self.node[t], self.due[t[0]] + cap - self.dur[t]):
                     return None
-            for a, b in self.kept_order:
+            for a, b in self.kept_order.values():
                 if not self._assert_before(a, b):
                     return None
-            # every order search starts from this kernel state, whatever the leaf
+            # every order search starts here, as the allocation search asserts
+            # nothing; since the push, only the kept order raised a start
             self.low = kern.earliest_all()
-            self.order_root = (self._lb(), self._sink_ends())
+            self.order_root = (self.low, self._raised_bound(self.base_bound, kern.changed()))
             return self._allocate()
         finally:
             while kern.level() > self.base_level:
@@ -398,8 +392,8 @@ class _Search:
         self.keep = keep
         self.class_groups = self._build_groups(users.keys())
         # a schedule overlaps no conflicting pair, so the first ends first
-        self.kept_order = [(a, b) if starts[a] + self.dur[a] <= starts[b] else (b, a)
-                           for a, b in pairs]
+        self.kept_order = {(a, b): (a, b) if starts[a] + self.dur[a] <= starts[b] else (b, a)
+                           for a, b in pairs}
         self.step_limit = NEIGHBOURHOOD_STEPS
         try:
             self.solve(cap, optimizing=True, deadline=deadline, incumbent=incumbent)
@@ -407,7 +401,7 @@ class _Search:
             pass
         finally:
             self.keep = {}
-            self.kept_order = []
+            self.kept_order = {}
             self.step_limit = None
             self.class_groups = self._build_groups()
 
@@ -489,32 +483,16 @@ class _Search:
             if nb.best_t < self.best_t:
                 self.best, self.best_t = nb.best, nb.best_t
 
-    def _sink_ends(self) -> list[int]:
-        """Each job's latest sink end under the earliest starts in ``self.low``."""
-        low = self.low
-        return [max(low[n] + d for n, d in ends) for _, ends in self.sinks]
-
-    def _lb(self) -> int:
-        """Total tardiness of the earliest starts in ``self.low``.
-
-        A lower bound inside the order search, the exact total at its leaves.
-        The order search keeps it per level instead (:meth:`_raised_bound`);
-        this full computation gives ``root_lb`` and each solve's root state.
-        """
-        total = 0
-        for end, (due, _) in zip(self._sink_ends(), self.sinks):
-            if end > due:
-                total += end - due
-        return total
-
     def _raised_bound(self, bound: tuple[int, list[int]],
-                      raised: list[int]) -> tuple[int, list[int]]:
-        """``bound`` after an assert that raised the nodes in ``raised``.
+                      raised: Iterable[int]) -> tuple[int, list[int]]:
+        """``bound`` after asserts that raised the nodes in ``raised``.
 
-        ``bound`` is ``(_lb(), _sink_ends())`` before the assert.  Earliest
-        starts only rise, so each job's latest sink end is the larger of its
-        old value and the new ends of its raised sinks, and the total grows
-        by the extra lateness.  The ends are copied only when one rises.
+        A bound is the total tardiness of the earliest starts in ``self.low``
+        (a lower bound in the order search, exact at its leaves) and each
+        job's latest sink end; every node raised from ``(0, [0] * jobs)``
+        gives the base level's.  Starts only rise, so a job's latest sink end
+        is the larger of its old value and its raised sinks' new ends, and
+        the total grows by the extra lateness.  Ends are copied on a rise.
         """
         total, ends = bound
         low, sink_at = self.low, self.sink_at
@@ -663,9 +641,8 @@ class _Search:
         """The conflict pairs of the current allocation left to order."""
         pairs = _cross_job_pairs(self.on_key.values())
         pairs.update(self.same_pairs)
-        keep = self.keep
-        if keep:
-            pairs = {p for p in pairs if p[0] not in keep or p[1] not in keep}
+        if self.kept_order:
+            pairs.difference_update(self.kept_order)
         return pairs
 
     def _pair_mask(self, pairs: set[tuple[Task, Task]]) -> int:
@@ -789,13 +766,13 @@ class _Search:
         # per level: [pair, directions left, conflict set, bound after its
         # assert, heap of the pairs left after its pick]
         frames: list[list] = []
-        low = self.low = kern.earliest_all()
+        low = self.low = self.order_root[0]
         # keys (earlier start, later start, pair), as :meth:`_pick_pair` orders them
         root_heap = [(x, y, p) if (x := low[a]) <= (y := low[b]) else (y, x, p)
                      for p, (a, b) in remaining.items()]
         heapify(root_heap)
         # the deepest level's bound and the nodes its assert raised
-        root = bound = self.order_root
+        root = bound = self.order_root[1]
         raised: list[int] = []
         while True:
             if len(frames) == len(pairs):
@@ -865,6 +842,17 @@ class _Search:
         return None
 
 
+def _search_for(inst: Instance, cap: int, search: _Search | None) -> _Search:
+    """``search``, or a new search of ``inst``, once ``cap`` and ``search`` pass the checks."""
+    if cap < 0:
+        raise ValueError(f"tardiness cap must be non-negative, got {cap}")
+    if search is None:
+        return _Search(inst)
+    if search.inst is not inst:
+        raise ValueError("search was built for another instance")
+    return search
+
+
 def decide(
     inst: Instance,
     cap: int,
@@ -882,13 +870,7 @@ def decide(
     skipped, and only the cap's per-task latest starts are asserted, under
     ``push``/``pop``.  The result is the same as without it.
     """
-    if cap < 0:
-        raise ValueError(f"tardiness cap must be non-negative, got {cap}")
-    if search is None:
-        search = _Search(inst)
-    elif search.inst is not inst:
-        raise ValueError("search was built for another instance")
-    return search.solve(cap, deadline=deadline)
+    return _search_for(inst, cap, search).solve(cap, deadline=deadline)
 
 
 def optimize(
@@ -916,12 +898,7 @@ def optimize(
     is returned itself when nothing better turns up, and when its total
     meets the root lower bound it is returned proven without searching.
     """
-    if cap < 0:
-        raise ValueError(f"tardiness cap must be non-negative, got {cap}")
-    if search is None:
-        search = _Search(inst)
-    elif search.inst is not inst:
-        raise ValueError("search was built for another instance")
+    search = _search_for(inst, cap, search)
     start = None
     if incumbent is not None:
         if incumbent.total_tardiness <= search.root_lb:

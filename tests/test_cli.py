@@ -255,7 +255,11 @@ def test_usage_error_exits_2(capsys):
     ["solve", "--timeout", "nan"],
     ["bench", "--window", "0"],
     ["bench", "--timeout", "0"],
+    ["bench", "--jobs", "0"],
+    ["bench", "--jobs", "-2"],
     ["generate", "--split", "-1"],
+    ["generate", "--days", "0"],
+    ["generate", "--days", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_bad_numeric_option_exits_2(tmp_path, capsys, argv):
     command, *options = argv

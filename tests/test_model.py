@@ -198,6 +198,48 @@ def test_bad_json_objects(obj):
         instance_from_json(obj)
 
 
+def _json_with(operations, jobs):
+    return {
+        "operations": [{"id": o, "duration": d} for o, d in operations],
+        "resources": [{"class": "w", "index": 1, "capabilities": ["a", "b"]}],
+        "demands": [{"op": "a", "classes": ["w"]}, {"op": "b", "classes": ["w"]}],
+        "jobs": jobs,
+    }
+
+
+@pytest.mark.parametrize(
+    "operations,jobs,fragment",
+    [
+        ([("a", 1), ("a", 8), ("b", 1)], [], "operation a redeclared with duration 8 (was 1)"),
+        ([("a", 1), ("b", 1)],
+         [{"id": "j", "deadline": 3, "operations": ["a"]},
+          {"id": "j", "deadline": 5, "operations": ["b"]}],
+         "job j redeclared with deadline 5 (was 3)"),
+    ],
+)
+def test_json_redeclared_value_is_an_error(operations, jobs, fragment):
+    with pytest.raises(SemanticError) as exc:
+        instance_from_json(_json_with(operations, jobs))
+    assert str(exc.value) == fragment
+
+
+def test_json_repeated_entries_merge():
+    obj = _json_with(
+        [("a", 1), ("b", 2), ("a", 1)],
+        [{"id": "j", "deadline": 3, "operations": ["a"]},
+         {"id": "j", "deadline": 3, "operations": ["b"], "precedence": [["a", "b"]]}],
+    )
+    obj["resources"].append({"class": "m", "index": 1, "capabilities": ["a"]})
+    obj["demands"].append({"op": "a", "classes": ["m"]})
+    text = ("op(a,1). op(b,2). op(a,1). res(w,1,a). res(w,1,b). res(m,1,a).\n"
+            "needs(a,w). needs(b,w). needs(a,m).\n"
+            "job(j,3). recipe(j,a). job(j,3). recipe(j,b). prec(j,a,b).\n")
+    inst = instance_from_json(obj)
+    assert inst == parse_instance(text)
+    assert inst.jobs == (Job("j", frozenset({"a", "b"}), frozenset({("a", "b")}), 3),)
+    assert inst.demanded("a") == {"w", "m"}
+
+
 def test_save_load_both_suffixes(example_instance, tmp_path):
     from mpfjss.model import load_instance
 

@@ -59,7 +59,7 @@ def test_neighbourhood_without_free_jobs_keeps_the_incumbent():
         assert best_t == start[2]
         assert best == start[:2]
         assert search.kern.level() == search.base_level
-        assert (search.keep, search.kept_order, search.step_limit) == ({}, [], None)
+        assert (search.keep, search.kept_order, search.step_limit) == ({}, {}, None)
         assert search.class_groups == search._build_groups()
 
 
@@ -106,10 +106,11 @@ def test_neighbourhood_keeps_the_other_jobs_in_place():
         found += 1
         new_starts, new_alloc = best
         assert check_schedule(day, build_schedule(day, *best)) == []
-        kept = [t for t in starts if t[0] not in free]
+        kept = {t for t in starts if t[0] not in free}
         assert all(new_alloc[t] == alloc[t] for t in kept)
-        for a, b in search.kept_order:
-            assert starts[a] < starts[b] and new_starts[a] < new_starts[b]
+        for a, b in solver.conflict_pairs(day, alloc):
+            if a in kept and b in kept:
+                assert (starts[a] < starts[b]) == (new_starts[a] < new_starts[b])
     assert found > 0
 
 

@@ -213,26 +213,31 @@ class _CheckedSearch(_Search):
     """A search that checks its shortcuts against the facade at every node.
 
     At every allocation leaf it also checks the leaf's pairs against
-    ``conflict_pairs``; at every leaf the memo skips, that the leaf's mask
-    encodes exactly those pairs and contains a refuted leaf's mask, and
-    that the pairs contain those of a leaf whose order search ran to its
-    end.  At every allocation slot it checks that the instances in use form
-    a prefix of each group, and that the slot is offered each group's
-    instances in use and the next unused one.  At every assert the order
-    search rejects, it checks that the ``conflict()`` edges and the
-    rejected edge close a cycle of negative weight, and that each of the
-    cycle's levels asserted the edge the cycle names.  At every order
-    node, and at every leaf, it checks the level's incremental tardiness
-    bound against one recomputed from the kernel; at every pick, that the
-    pair and its directions are those a full scan with a key function
-    finds, that the heap it was handed is unchanged, and that the heap left
-    holds a key no greater than the current one for every pair left.  It
-    gives up after a fixed number of steps, so that large random instances
-    stay cheap and the test does the same work on every run.
+    ``conflict_pairs``, less the pairs of two kept tasks; at every leaf
+    the memo skips, that the leaf's mask encodes exactly those pairs and
+    contains a refuted leaf's mask, and that the pairs contain those of a
+    leaf whose order search ran to its end.  At every allocation slot it
+    checks that the instances in use form a prefix of each group, and that
+    the slot is offered each group's instances in use and the next unused
+    one, or a kept task's instance.  At every assert the order search
+    rejects, it checks that the ``conflict()`` edges and the rejected edge
+    close a cycle of negative weight, and that each of the cycle's levels
+    asserted the edge the cycle names.  Every bound ``_raised_bound``
+    gives (the base level's, each solve's root state and each order-search
+    level's) and every order search's starting state, earliest starts and
+    bound, are checked against ones recomputed from the kernel; so are the
+    bound at every order node and every leaf, and the earliest starts at
+    every pick.  At every pick it also checks that the pair and its
+    directions are those a full scan with a key function finds, that the
+    heap it was handed is unchanged, and that the heap left holds a key no
+    greater than the current one for every pair left.  It gives up after a
+    fixed number of steps, so that large random instances stay cheap and
+    the test does the same work on every run.
     """
 
     STEPS = 3000
     nodes = leaves = skips = rejects = 0
+    kept_raises = 0  # order searches whose root the kept order raised
     level_base = None  # the kernel level an order search starts from, inside one
 
     def __init__(self, *args, **kwargs):
@@ -245,12 +250,26 @@ class _CheckedSearch(_Search):
         if self._ticks > self.STEPS:
             raise SolveTimeout("step budget spent")
 
-    def _full_lb(self):
-        done = {}
+    def _full_ends(self):
+        """Each job's latest task end, in job order, from the kernel's earliest starts."""
+        done = dict.fromkeys((j.name for j in self.inst.jobs), 0)
         for t in self.all_tasks:
-            end = self.kern.earliest(self.node[t]) + self.dur[t]
-            done[t[0]] = max(done.get(t[0], 0), end)
-        return sum(max(0, end - self.due[j]) for j, end in done.items())
+            done[t[0]] = max(done[t[0]], self.kern.earliest(self.node[t]) + self.dur[t])
+        return list(done.values())
+
+    def _full_lb(self):
+        ends = self._full_ends()
+        return sum(max(0, end - j.deadline) for j, end in zip(self.inst.jobs, ends))
+
+    def _check_state(self, low, bound):
+        """Earliest starts ``low`` and ``bound`` against the kernel, recomputed in full."""
+        assert low == self.kern.earliest_all()
+        assert bound == (self._full_lb(), self._full_ends())
+
+    def _raised_bound(self, bound, raised):
+        got = super()._raised_bound(bound, raised)
+        self._check_state(self.low, got)
+        return got
 
     def _candidates(self, slot):
         (_, op), cls = slot
@@ -260,13 +279,17 @@ class _CheckedSearch(_Search):
             assert in_use == sorted(in_use, reverse=True)
             if op in caps:
                 want += indices[:sum(in_use) + 1]
+        if slot[0] in self.keep:
+            want = [self.keep[slot[0]][cls]]
         got = super()._candidates(slot)
         assert sorted(got) == sorted(want)
         return got
 
     def _leaf_pairs(self):
         self.pairs = super()._leaf_pairs()
-        assert self.pairs == conflict_pairs(self.inst, self.alloc)
+        keep = self.keep
+        assert self.pairs == {p for p in conflict_pairs(self.inst, self.alloc)
+                              if p[0] not in keep or p[1] not in keep}
         self.leaves += 1
         return self.pairs
 
@@ -280,6 +303,8 @@ class _CheckedSearch(_Search):
         return True
 
     def _order_dfs(self, pairs):
+        self._check_state(*self.order_root)
+        self.kept_raises += self.order_root[1] != self.base_bound
         self.level_base, self.edge_base = self.kern.level(), self.kern.num_edges()
         try:
             res = super()._order_dfs(pairs)
@@ -318,7 +343,7 @@ class _CheckedSearch(_Search):
         return mask
 
     def _pick_pair(self, heap, raised, remaining, on_node):
-        assert self._lb() == self._full_lb()
+        assert self.low == self.kern.earliest_all()
         node, low = self.node, self.low
         assert remaining == {p: (node[p[0]], node[p[1]]) for p in remaining}
         self.nodes += 1
@@ -339,11 +364,13 @@ class _CheckedSearch(_Search):
         return pair, dirs, left
 
     def _promising(self, lb):
-        assert lb == self._lb() == self._full_lb()
+        assert self.low == self.kern.earliest_all()
+        assert lb == self._full_lb()
         self.nodes += 1
         return super()._promising(lb)
 
     def _order_leaf(self, total):
+        assert self.low == self.kern.earliest_all()
         assert total == self._full_lb()
         return super()._order_leaf(total)
 
@@ -373,6 +400,28 @@ def test_search_shortcuts_match_facade_recomputation():
             rejects += search.rejects
     # a skipped leaf is checked too, so it counts as one
     assert nodes > 10_000 and leaves > 200 and skips > 0 and rejects > 1000
+
+
+def test_neighbourhood_step_shortcuts_match_facade_recomputation():
+    """The checks above inside neighbourhood steps, whose kept order raises the root."""
+    rng = random.Random(2026)
+    nodes = kept_raises = 0
+    for inst in _random_instances():
+        serial = sum(inst.duration(op) for j in inst.jobs for op in j.operations)
+        sched = _Search(inst).solve(serial)
+        incumbent = ({a.task: a.start for a in sched.assignments},
+                     {a.task: dict(a.resources) for a in sched.assignments},
+                     sched.total_tardiness)
+        names = [j.name for j in inst.jobs]
+        for free in ({rng.choice(names)}, set(rng.sample(names, len(names) - 1))):
+            search = _CheckedSearch(inst)
+            try:
+                search.reoptimize(serial, incumbent, free)
+            except (_ProvenOptimal, SolveTimeout):
+                pass
+            nodes += search.nodes
+            kept_raises += search.kept_raises
+    assert nodes > 10_000 and kept_raises > 100
 
 
 # -- the leaf memo ----------------------------------------------------------
