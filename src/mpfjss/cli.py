@@ -75,7 +75,7 @@ def cmd_validate(args) -> int:
         return _fail(str(exc), EXIT_PARSE)
     try:
         sched = schedule_from_json(json.loads(Path(args.schedule).read_text()))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, InstanceError) as exc:
         return _fail(str(exc), EXIT_PARSE)
     violations = check_schedule(inst, sched)
     _emit(json.dumps([v.to_json() for v in violations], indent=2) + "\n",

@@ -16,6 +16,14 @@ the difference-constraint system either admits a unique earliest schedule or
 proves the directions contradictory.  Both searches are iterative, so deep
 instances cannot exhaust the interpreter stack.
 
+A slot tries the instance that leaves the task the most room first, the
+least-constraining value (Haralick & Elliott, Artificial Intelligence
+1980): the one with the fewest tasks whose interval at the solve's root
+earliest starts overlaps the task's, then the least loaded.  The order
+decides which schedule ``decide`` returns first and which incumbent a
+budgeted ``optimize`` holds, but the candidates are the same, so no verdict
+and no proven optimum depends on it.
+
 The cap enters the difference-constraint system only as an upper bound on
 each task's start.  A search is therefore built once per instance, with
 start bounds and precedence at the kernel's base level, and each cap is
@@ -523,28 +531,51 @@ class _Search:
     # -- allocation search ----------------------------------------------
 
     def _candidates(self, slot: tuple[Task, str]) -> list[int]:
-        """The instances a slot may take, least loaded first.
+        """The instances a slot may take, the one that clashes least first.
 
         A kept task's slot takes its kept instance.  Otherwise each group of
         interchangeable instances offers the ones in use and the next unused
         one.  Those in use form a prefix of the group, as a slot takes one in
         use or the first unused one and allocations are undone last first.
         An instance is in use when its load is positive: durations are >= 1.
+
+        They come by how many of an instance's tasks overlap this one at the
+        solve's root earliest starts (``order_root[0]``), fewest first, then
+        by load and index.  The root starts include a neighbourhood step's
+        kept order, and no cap assert raises them.  An unused instance has
+        no task and no load, so the unused ones come first, by index, and
+        only instances in use are counted.
         """
         (job, op), cls = slot
         kept = self.keep.get(slot[0])
         if kept is not None:
             return [kept[cls]]
         load = self.load
-        allowed = []
+        unused, used = [], []
         for caps, indices in self.class_groups.get(cls, ()):
             if op in caps:
                 for i in indices:
-                    allowed.append(i)
                     if not load[(cls, i)]:
+                        unused.append(i)
                         break
-        allowed.sort(key=lambda i: (load[(cls, i)], i))
-        return allowed
+                    used.append(i)
+        unused.sort()
+        if len(used) > 1:
+            low, node, dur, on_key = self.order_root[0], self.node, self.dur, self.on_key
+            start = low[node[slot[0]]]
+            end = start + dur[slot[0]]
+            ranked = []  # (tasks that overlap this one, load, index) per instance in use
+            for i in used:
+                key = (cls, i)
+                clash = 0
+                for u in on_key[key]:
+                    s = low[node[u]]
+                    if s < end and start < s + dur[u]:
+                        clash += 1
+                ranked.append((clash, load[key], i))
+            ranked.sort()
+            used = [i for _, _, i in ranked]
+        return unused + used
 
     def _apply(self, slot: tuple[Task, str], idx: int) -> None:
         task, cls = slot

@@ -59,11 +59,23 @@ class _EveryInstance(_Search):
     """The search without symmetry breaking, as the tests' reference.
 
     Every instance forms a group of its own, so every capable instance
-    competes for a slot, least loaded first, and a kept task keeps its own.
+    competes for a slot, and a kept task keeps its own.
     """
 
     def _build_groups(self, fixed=frozenset()):
         return super()._build_groups({r.key for r in self.inst.resources})
+
+
+class _LoadOrder(_Search):
+    """The search that tries a slot's instances least loaded first, then by index.
+
+    The search did so before it counted each instance's clashes with the
+    task; the older step columns of the trajectory pins were taken with it.
+    """
+
+    def _candidates(self, slot):
+        load, cls = self.load, slot[1]
+        return sorted(super()._candidates(slot), key=lambda i: (load[(cls, i)], i))
 
 
 @pytest.fixture

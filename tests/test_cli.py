@@ -107,6 +107,22 @@ def test_validate_garbage_schedule(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"assignments": [{"job": "j1", "op": "a", "end": 3, "resources": []}],'
+    ' "tardiness": {}, "total_tardiness": 0}',
+    '{"assignments": 3, "tardiness": {}, "total_tardiness": 0}',
+    "[1]",
+], ids=["missing-start", "assignments-not-a-list", "top-level-list"])
+def test_validate_malformed_schedule(tmp_path, capsys, text):
+    sched_path = tmp_path / "sched.json"
+    sched_path.write_text(text)
+    code = main(["validate", EXAMPLE, str(sched_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("mpfjss: malformed schedule JSON: ")
+
+
 def test_generate_and_reload(tmp_path, capsys):
     outdir = tmp_path / "insts"
     code, out = run(

@@ -9,17 +9,22 @@ them, and so does one search reused for every cap on an instance.
 
 The search skips an allocation leaf whose conflict pairs contain those of a
 leaf it has already refuted in the same solve, and its order search jumps
-back over levels that took no part in a failure.  Each pin therefore has
-three step counts:
+back over levels that took no part in a failure.  It tries a slot's
+instances by how many of their tasks clash with the slot's task, then least
+loaded first.  Each pin therefore has four step counts:
 
 * the first is taken by ``_PlainSearch``, which backtracks chronologically
   and whose memo never fires, and equals the count pinned before the memo
   existed;
 * the second by ``_ChronoSearch``, which keeps the memo but backtracks
   chronologically, and equals the count pinned before backjumping existed;
-* the third by the search as shipped.
+* the third by the search with backjumping;
+* the fourth by the search as shipped.
 
-All three return the same schedule.
+The first three try instances least loaded first (``_LoadOrder``), as the
+search did when they were pinned, and return the same schedule.  The
+shipped search may reach another schedule first, so its column has a total
+and a digest of its own; an optimum it proves has the same total.
 """
 
 import dataclasses
@@ -30,7 +35,15 @@ from collections import Counter
 
 import pytest
 
-from mpfjss import GenParams, dl, generate, load_instance
+from mpfjss import (
+    GenParams,
+    StrategyConfig,
+    bounds,
+    dl,
+    generate,
+    load_instance,
+    solve_with_strategy,
+)
 from mpfjss.dl import AVAILABLE_BACKENDS
 from mpfjss.schedule import build_schedule, schedule_to_json
 from mpfjss.validate import check_schedule
@@ -43,40 +56,61 @@ from mpfjss.solver import (
     decide,
 )
 
-from conftest import DATA, _EveryInstance, interchangeable, random_tiny_instance
+from conftest import DATA, _EveryInstance, _LoadOrder, interchangeable, random_tiny_instance
 
 # the 3-job shop of acceptance criterion 8, at other job counts
 SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
                  durations=(2, 6), shift=40)
 
 # (instance, mode, cap, plain steps, memo steps, backjump steps, total
-# tardiness, schedule digest); an instance is "example" or (generator, jobs,
-# seed, partial_order)
+# tardiness, schedule digest, shipped steps, shipped total, shipped digest);
+# an instance is "example" or (generator, jobs, seed, partial_order)
 PINNED = [
-    ("example", "decide", 0, 0, 0, 0, None, None),
-    ("example", "decide", 1, 145, 145, 107, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 1, 2554, 1447, 1409, 1, "c11bb8a35b520c9b"),
-    ("example", "optimize", 3, 3605, 1941, 1941, 1, "c11bb8a35b520c9b"),
-    (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, 2139, None, None),
-    (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 261, 6, "09c9453ba71f6438"),
-    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 2162, 6, "09c9453ba71f6438"),
-    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 1193, 14, "84455d75f04c0725"),
-    (("day", 3, 2, 0.0), "decide", 52, 31, 31, 31, 52, "e55e3749abe578af"),
-    (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 31, 52, "e55e3749abe578af"),
-    (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 165, 12, "430a7411b012e420"),
-    (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 319, 8, "25f9a1428eca09d7"),
-    (("day", 5, 3, 0.5), "decide", 25, 41, 41, 41, 25, "d7a4e2135e40e51a"),
-    (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 41, 25, "d7a4e2135e40e51a"),
-    (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 214, 2, "0e501a7a6d112d25"),
-    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 215, 1, "5f2a96a708c922b5"),
-    (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 155, 13, "4eab8513cb55fd44"),
-    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 2311, 5, "14cf9e76dae2bd4e"),
-    (("day", 10, 2, 0.5), "decide", 40, 116, 116, 116, 111, "85f55a707007abc7"),
-    (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 79, 66, "6a30113a3a8e1dd7"),
+    ("example", "decide", 0, 0, 0, 0, None, None,
+     0, None, None),
+    ("example", "decide", 1, 145, 145, 107, 1, "c11bb8a35b520c9b",
+     107, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 1, 2554, 1447, 1409, 1, "c11bb8a35b520c9b",
+     1409, 1, "c11bb8a35b520c9b"),
+    ("example", "optimize", 3, 3605, 1941, 1941, 1, "c11bb8a35b520c9b",
+     1941, 1, "c11bb8a35b520c9b"),
+    (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, 2139, None, None,
+     2139, None, None),
+    (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 261, 6, "09c9453ba71f6438",
+     261, 6, "09c9453ba71f6438"),
+    (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 2162, 6, "09c9453ba71f6438",
+     2162, 6, "09c9453ba71f6438"),
+    (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 1193, 14, "84455d75f04c0725",
+     1161, 14, "84455d75f04c0725"),
+    (("day", 3, 2, 0.0), "decide", 52, 31, 31, 31, 52, "e55e3749abe578af",
+     31, 52, "e55e3749abe578af"),
+    (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 31, 52, "e55e3749abe578af",
+     31, 52, "e55e3749abe578af"),
+    (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 165, 12, "430a7411b012e420",
+     65, 12, "2f50b8c8f87aab0a"),
+    (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 319, 8, "25f9a1428eca09d7",
+     226, 8, "dfe2bac8dfa12adf"),
+    (("day", 5, 3, 0.5), "decide", 25, 41, 41, 41, 25, "d7a4e2135e40e51a",
+     41, 25, "d7a4e2135e40e51a"),
+    (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 41, 25, "d7a4e2135e40e51a",
+     41, 25, "d7a4e2135e40e51a"),
+    (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 214, 2, "0e501a7a6d112d25",
+     211, 1, "cfc49787093e6d61"),
+    (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 215, 1, "5f2a96a708c922b5",
+     211, 1, "cfc49787093e6d61"),
+    (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 155, 13, "4eab8513cb55fd44",
+     159, 11, "1c3c32736b10dc42"),
+    (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 2311, 5, "14cf9e76dae2bd4e",
+     699, 5, "b2083d746fd49413"),
+    (("day", 10, 2, 0.5), "decide", 40, 116, 116, 116, 111, "85f55a707007abc7",
+     116, 111, "12be02dc231c0563"),
+    (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 79, 66, "6a30113a3a8e1dd7",
+     79, 66, "6a30113a3a8e1dd7"),
 ]
-PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, _, t, d in PINNED]
-MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, _, t, d in PINNED]
-JUMP_PINS = [(k, m, c, jump, t, d) for k, m, c, _, _, jump, t, d in PINNED]
+PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, _, t, d, *_ in PINNED]
+MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, _, t, d, *_ in PINNED]
+JUMP_PINS = [(k, m, c, jump, t, d) for k, m, c, _, _, jump, t, d, *_ in PINNED]
+SHIPPED_PINS = [(*row[:3], *row[8:]) for row in PINNED]
 
 
 class _ChronoSearch(_Search):
@@ -99,6 +133,14 @@ class _EveryChrono(_EveryInstance, _ChronoSearch):
 
 class _EveryPlain(_EveryInstance, _PlainSearch):
     """``_PlainSearch`` without symmetry breaking."""
+
+
+class _LoadPlain(_LoadOrder, _PlainSearch):
+    """``_PlainSearch`` trying instances least loaded first: the first column."""
+
+
+class _LoadChrono(_LoadOrder, _ChronoSearch):
+    """``_ChronoSearch`` trying instances least loaded first: the second column."""
 
 
 def _instance(key):
@@ -143,7 +185,7 @@ def _check_pin(search, sched, steps, total, digest):
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", PLAIN_PINS)
 def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _PlainSearch(_instance(key))
+    search = _LoadPlain(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
@@ -151,7 +193,7 @@ def test_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, dige
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", MEMO_PINS)
 def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _ChronoSearch(_instance(key))
+    search = _LoadChrono(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
@@ -159,6 +201,14 @@ def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total,
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", JUMP_PINS)
 def test_backjump_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
+    search = _LoadOrder(_instance(key))
+    sched = _run(search, cap, mode == "optimize")
+    _check_pin(search, sched, steps, total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", SHIPPED_PINS)
+def test_shipped_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
     search = _Search(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
@@ -169,8 +219,8 @@ def test_backjump_search_trajectory_is_pinned(backend, key, mode, cap, steps, to
                          ids=lambda k: k if isinstance(k, str) else "-".join(map(str, k)))
 def test_one_search_replays_every_pin(backend, key):
     """Every pinned cap of an instance, forward then backward, on one search."""
-    for cls, pins in ((_PlainSearch, PLAIN_PINS), (_ChronoSearch, MEMO_PINS),
-                      (_Search, JUMP_PINS)):
+    for cls, pins in ((_LoadPlain, PLAIN_PINS), (_LoadChrono, MEMO_PINS),
+                      (_LoadOrder, JUMP_PINS), (_Search, SHIPPED_PINS)):
         rows = [row[1:] for row in pins if row[0] == key]
         search = cls(_instance(key))
         for mode, cap, steps, total, digest in rows + rows[::-1]:
@@ -185,7 +235,7 @@ def test_search_is_reusable_after_abnormal_exit(backend):
     inst = _instance(key)
     search = _Search(inst)
     # a passed deadline strikes at the first clock read, 256 steps into a
-    # search of 1668 steps
+    # search of 30,736 steps
     with pytest.raises(SolveTimeout):
         search.solve(3, optimizing=True, deadline=0.0)
     assert search._ticks == 256
@@ -219,8 +269,10 @@ class _CheckedSearch(_Search):
     leaf whose order search ran to its end.  At every allocation slot it
     checks that the instances in use form a prefix of each group, and that
     the slot is offered each group's instances in use and the next unused
-    one, or a kept task's instance.  At every assert the order search
-    rejects, it checks that the ``conflict()`` edges and the rejected edge
+    one, or a kept task's instance, ordered by a full recount of each one's
+    tasks that overlap the slot's task at the earliest starts the kernel
+    gives at the solve's root, then by load and index.  At every assert the
+    order search rejects, it checks that the ``conflict()`` edges and the rejected edge
     close a cycle of negative weight, and that each of the cycle's levels
     asserted the edge the cycle names.  Every bound ``_raised_bound``
     gives (the base level's, each solve's root state and each order-search
@@ -271,18 +323,30 @@ class _CheckedSearch(_Search):
         self._check_state(self.low, got)
         return got
 
+    def _allocate(self):
+        self.root_low = self.kern.earliest_all()  # no order decision made yet
+        return super()._allocate()
+
+    def _clashes(self, task, key):
+        """The tasks on instance ``key`` that overlap ``task`` at the root."""
+        low, node, dur = self.root_low, self.node, self.dur
+        return sum(max(low[node[u]], low[node[task]])
+                   < min(low[node[u]] + dur[u], low[node[task]] + dur[task])
+                   for u in self.on_key[key])
+
     def _candidates(self, slot):
-        (_, op), cls = slot
+        task, cls = slot
         want = []
         for caps, indices in self.class_groups.get(cls, ()):
             in_use = [self.load[(cls, i)] > 0 for i in indices]
             assert in_use == sorted(in_use, reverse=True)
-            if op in caps:
+            if task[1] in caps:
                 want += indices[:sum(in_use) + 1]
-        if slot[0] in self.keep:
-            want = [self.keep[slot[0]][cls]]
+        want.sort(key=lambda i: (self._clashes(task, (cls, i)), self.load[(cls, i)], i))
+        if task in self.keep:
+            want = [self.keep[task][cls]]
         got = super()._candidates(slot)
-        assert sorted(got) == sorted(want)
+        assert got == want
         return got
 
     def _leaf_pairs(self):
@@ -490,7 +554,7 @@ def test_backjumping_finds_caps_the_chronological_search_cannot():
     """The 30-job day n30s03 at caps where chronological search stalls.
 
     Chronological backtracking spends 5000 steps without finding a schedule;
-    backjumping finds one within them (in 443 to 703 steps when measured).
+    backjumping finds one within them (in 446 to 451 steps when measured).
     """
     day = generate(GenParams(jobs=(30, 30)), 3)
     jump = _step_capped(_Search, 5000)(day)
@@ -501,6 +565,27 @@ def test_backjumping_finds_caps_the_chronological_search_cannot():
         assert max(sched.tardiness.values()) <= cap
         with pytest.raises(SolveTimeout):
             chrono.solve(cap)
+
+
+@pytest.mark.parametrize("jobs,seed,optimum", [(5, 2, 107), (10, 2, 112), (15, 3, 106),
+                                                (15, 2, 144)])
+def test_clash_order_proves_days_the_load_order_cannot(monkeypatch, jobs, seed, optimum):
+    """``exp`` proves these generated days optimal at their root lower bound.
+
+    Every search the cap search builds gives up past 1024 steps in one
+    solve, which the least-loaded-first order spends without a proof (it
+    ends at 123, 128, 120 and 160); the clash order proves each within 831
+    steps over all probes and ``optimize``.
+    """
+    day = generate(dataclasses.replace(GenParams(), jobs=(jobs, jobs)), seed)
+    cfg = StrategyConfig(strategy="exp")
+    monkeypatch.setattr(bounds, "_Search", _step_capped(_LoadOrder, 1024))
+    assert solve_with_strategy(day, cfg).verdict() == "incumbent"
+    monkeypatch.setattr(bounds, "_Search", _step_capped(_Search, 1024))
+    report = solve_with_strategy(day, cfg)
+    assert report.verdict() == "optimal"
+    assert check_schedule(day, report.schedule) == []
+    assert report.total_tardiness == optimum == _Search(day).root_lb
 
 
 class _CutMidLeaf(_Search):
