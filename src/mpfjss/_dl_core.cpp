@@ -1,21 +1,21 @@
 // Compiled difference-logic kernel, the extension module mpfjss._dl_core.
 //
 // Observable twin of mpfjss._dl_pure.DiffKernel: same algorithm, same
-// tie-breaking, same exceptions.  See that module for the algorithm notes:
-// an assert into a node with a lower bound is one pass that raises `low`
-// from its source, trailing each node's `reason` edge with it, and rejects
-// the assert when it would raise the target or the origin; only an assert
-// into a node without one repairs the potentials `pi` by a Dijkstra pass.
-// `changed()` reads the trail of raises back to the last push, one node per
-// raise, so the search updates what it derives from `low` by what changed.
-// `Kernel` is plain C++; the functions below it convert arguments and results
-// and turn its status codes into Python exceptions.  setup.py builds it.
+// tie-breaking, same exceptions.  See that module for the algorithm notes
+// and the proof that the floor is safe: every node but the origin starts at
+// `low` = FLOOR, and every assert is one pass that raises `low` from its
+// source, trailing each node's `reason` edge with it, and rejects the assert
+// when it would raise the target or the origin.  `earliest()` returns the
+// raw values; the engine in mpfjss.dl reads those out of the origin's reach
+// as no bound.  `changed()` reads the trail of raises back to the last push,
+// one node per raise, so the search updates what it derives from `low` by
+// what changed.  `Kernel` is plain C++; the functions below it check and
+// convert arguments and results and raise the Python exceptions.  setup.py
+// builds it.
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-#include <algorithm>
-#include <functional>
 #include <new>
 #include <utility>
 #include <vector>
@@ -26,11 +26,8 @@ typedef long long i64;
 
 const i64 MAX_WEIGHT = i64(1) << 40;
 const int MAX_EDGES = 1 << 21;
-const i64 PI_FLOOR = -(i64(1) << 60);
-const i64 NEG_INF = -(i64(1) << 62);  // `low` of a node with no bound yet
+const i64 FLOOR = -3 * MAX_WEIGHT * MAX_EDGES;  // every new node's `low`
 const int NEW_EDGE = -1;
-
-enum Status { OK = 0, CYCLE = 1, PI_OUT_OF_RANGE };
 
 struct Kernel {
     struct Edge {  // value(dst) - value(src) <= w
@@ -42,34 +39,24 @@ struct Kernel {
         i64 low;
     };
     std::vector<Edge> edges;
-    std::vector<std::vector<int>> out, in;
-    std::vector<i64> pi, low;
+    std::vector<std::vector<int>> in;
+    std::vector<i64> low;
     std::vector<int> reason;  // the edge that last raised each node's `low`
     std::vector<std::pair<size_t, size_t>> marks;  // (edges, lowtrail) sizes at push
     std::vector<Raise> lowtrail;
     std::vector<int> conflict;
-    struct Visit {  // a node's state in the relaxation of stamp `gstamp`
-        i64 gamma = 0, gstamp = 0, fstamp = 0;
-        int parent = 0;
-        i64 rstamp = 0;  // stamp of the last conflict that found the node raised
-    };
-    std::vector<Visit> visit;
+    std::vector<i64> rstamp;  // per node, the stamp of the last conflict that found it raised
     i64 stamp = 0;
-    // Scratch space of one assert, kept to save the allocations.
-    std::vector<std::pair<i64, int>> heap;  // min-heap on (gamma, node)
-    std::vector<std::pair<int, i64>> changed;
-    std::vector<int> todo;
+    std::vector<int> todo;  // scratch space of one assert, kept to save the allocations
 
     Kernel() { add_node(0); }
 
     int add_node(i64 bound) {
-        out.emplace_back();
         in.emplace_back();
-        pi.push_back(0);
         low.push_back(bound);
         reason.push_back(NEW_EDGE);
-        visit.emplace_back();
-        return int(pi.size()) - 1;
+        rstamp.push_back(0);
+        return int(low.size()) - 1;
     }
 
     void push() { marks.emplace_back(edges.size(), lowtrail.size()); }
@@ -77,10 +64,8 @@ struct Kernel {
     void pop() {
         const auto [mark, lowmark] = marks.back();
         marks.pop_back();
-        for (size_t eid = edges.size(); eid-- > mark;) {
-            out[edges[eid].src].pop_back();
+        for (size_t eid = edges.size(); eid-- > mark;)
             in[edges[eid].dst].pop_back();
-        }
         edges.resize(mark);
         undo(lowmark);
     }
@@ -95,37 +80,30 @@ struct Kernel {
     }
 
     // Add value(v) - value(u) <= wt; nodes and weight are already checked.
-    Status assert_edge(int u, int v, i64 wt) {
-        Status status = OK;
+    // Returns 0, or 1 on a negative cycle.
+    int assert_edge(int u, int v, i64 wt) {
         if (u == v) {
             if (wt < 0) {
                 conflict.clear();
-                return CYCLE;
+                return 1;
             }
-        } else if (low[v] != NEG_INF) {
-            status = raise(u, v, low[v] - wt);
-        } else {
-            const i64 slack = pi[u] + wt - pi[v];
-            if (slack < 0)
-                status = relax(u, v, slack);
+        } else if (!raise(u, v, low[v] - wt)) {
+            return 1;
         }
-        if (status != OK)
-            return status;
-        out[u].push_back(int(edges.size()));
         in[v].push_back(int(edges.size()));
         edges.push_back({u, v, wt});
-        return OK;
+        return 0;
     }
 
-    // Raise low[u] to `cand` and propagate; on a cycle, roll back.
-    Status raise(int u, int v, i64 cand) {
+    // Raise low[u] to `cand` and propagate; false (and rollback) on a cycle.
+    bool raise(int u, int v, i64 cand) {
         const i64 lu = low[u];
-        if (lu != NEG_INF && cand <= lu)
-            return OK;
+        if (cand <= lu)
+            return true;
         if (u == 0) {
             conflict.clear();
             chain(v, [](int) { return false; });
-            return CYCLE;
+            return false;
         }
         const size_t start = lowtrail.size();
         lowtrail.push_back({u, reason[u], lu});
@@ -139,11 +117,11 @@ struct Kernel {
             for (int eid : in[n]) {
                 const int t = edges[eid].src;
                 const i64 c = ln - edges[eid].w, lt = low[t];
-                if (lt == NEG_INF || c > lt) {
+                if (c > lt) {
                     if (t == v || t == 0) {
                         cycle(u, v, eid, start);
                         undo(start);
-                        return CYCLE;
+                        return false;
                     }
                     lowtrail.push_back({t, reason[t], lt});
                     low[t] = c;
@@ -152,7 +130,7 @@ struct Kernel {
                 }
             }
         }
-        return OK;
+        return true;
     }
 
     // Append the reason edges from `x` up to the origin or the first node
@@ -176,8 +154,8 @@ struct Kernel {
         if (edges[eid].src != v) {  // the origin: v's reason chain to it comes first
             const i64 st = ++stamp;
             for (size_t i = start; i < lowtrail.size(); ++i)
-                visit[lowtrail[i].node].rstamp = st;
-            const int x = chain(v, [&](int y) { return visit[y].rstamp == st; });
+                rstamp[lowtrail[i].node] = st;
+            const int x = chain(v, [&](int y) { return rstamp[y] == st; });
             if (x != 0) {
                 chain(x, is_u);
                 return;
@@ -185,65 +163,6 @@ struct Kernel {
         }
         conflict.push_back(eid);
         chain(edges[eid].dst, is_u);
-    }
-
-    void undo_relax() {
-        for (size_t i = changed.size(); i-- > 0;)
-            pi[changed[i].first] = changed[i].second;
-    }
-
-    // Lower `pi` to absorb the new edge u -> v; on a cycle or out of range,
-    // `pi` is rolled back.
-    Status relax(int u, int v, i64 slack) {
-        const i64 st = ++stamp;
-        const std::greater<std::pair<i64, int>> later{};
-        visit[v].gamma = slack;
-        visit[v].gstamp = st;
-        visit[v].parent = NEW_EDGE;
-        changed.clear();
-        heap.assign(1, {slack, v});
-        while (!heap.empty()) {
-            std::pop_heap(heap.begin(), heap.end(), later);
-            const i64 g = heap.back().first;
-            const int s = heap.back().second;
-            heap.pop_back();
-            Visit &vs = visit[s];
-            if (vs.fstamp == st || vs.gstamp != st || vs.gamma != g)
-                continue;
-            const i64 lowered = pi[s] + g;
-            if (lowered < PI_FLOOR) {
-                undo_relax();
-                return PI_OUT_OF_RANGE;
-            }
-            vs.fstamp = st;
-            changed.emplace_back(s, pi[s]);
-            pi[s] = lowered;
-            for (int eid : out[s]) {
-                const int t = edges[eid].dst;
-                Visit &vt = visit[t];
-                if (vt.fstamp == st)
-                    continue;
-                const i64 cand = pi[s] + edges[eid].w - pi[t];
-                if (cand >= 0)
-                    continue;
-                if (t == u) {
-                    conflict.assign(1, eid);
-                    for (int cur = s; cur != v; cur = edges[conflict.back()].src)
-                        conflict.push_back(visit[cur].parent);
-                    std::reverse(conflict.begin(), conflict.end());
-                    undo_relax();
-                    return CYCLE;
-                }
-                if (vt.gstamp != st || cand < vt.gamma) {
-                    vt.gamma = cand;
-                    vt.gstamp = st;
-                    vt.parent = eid;
-                    heap.emplace_back(cand, t);
-                    std::push_heap(heap.begin(), heap.end(), later);
-                }
-            }
-        }
-        return OK;
     }
 };
 
@@ -263,8 +182,6 @@ i64 to_id(PyObject *arg, size_t n) {
     const i64 i = PyLong_AsLongLongAndOverflow(arg, &overflow);
     return overflow || i < 0 || i >= i64(n) ? -1 : i;
 }
-
-PyObject *bound(i64 x) { return x == NEG_INF ? Py_NewRef(Py_None) : PyLong_FromLongLong(x); }
 
 // A new list of `convert(x)` for each `x` in [first, last).
 template <class It, class F>
@@ -303,14 +220,14 @@ void kernel_dealloc(PyObject *self) {
 
 PyObject *add_var(PyObject *self, PyObject *) {
     try {
-        return PyLong_FromLong(kernel(self).add_node(NEG_INF));
+        return PyLong_FromLong(kernel(self).add_node(FLOOR));
     } catch (const std::bad_alloc &) {
         return PyErr_NoMemory();
     }
 }
 
 PyObject *num_vars(PyObject *self, PyObject *) {
-    return PyLong_FromSize_t(kernel(self).pi.size());
+    return PyLong_FromSize_t(kernel(self).low.size());
 }
 
 PyObject *num_edges(PyObject *self, PyObject *) {
@@ -355,12 +272,12 @@ PyObject *earliest(PyObject *self, PyObject *arg) {
     if (v < 0)
         return PyErr_Occurred() ? nullptr
                                 : PyErr_Format(PyExc_IndexError, "unknown variable %S", arg);
-    return bound(k.low[v]);
+    return PyLong_FromLongLong(k.low[v]);
 }
 
 PyObject *earliest_all(PyObject *self, PyObject *) {
     const Kernel &k = kernel(self);
-    return list_of(k.low.begin(), k.low.end(), bound);
+    return list_of(k.low.begin(), k.low.end(), PyLong_FromLongLong);
 }
 
 PyObject *changed(PyObject *self, PyObject *) {
@@ -380,10 +297,10 @@ PyObject *assert_edge(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
         return PyErr_Format(PyExc_TypeError,
                             "assert_edge() takes exactly 3 arguments (%zd given)", nargs);
     Kernel &k = kernel(self);
-    const i64 u = to_id(args[0], k.pi.size());
+    const i64 u = to_id(args[0], k.low.size());
     if (u < 0 && PyErr_Occurred())
         return nullptr;
-    const i64 v = to_id(args[1], k.pi.size());
+    const i64 v = to_id(args[1], k.low.size());
     if (v < 0 && PyErr_Occurred())
         return nullptr;
     if (u < 0 || v < 0)
@@ -397,15 +314,13 @@ PyObject *assert_edge(PyObject *self, PyObject *const *args, Py_ssize_t nargs) {
         return PyErr_Format(PyExc_OverflowError, "weight %S outside +-%lld", args[2], MAX_WEIGHT);
     if (k.edges.size() >= size_t(MAX_EDGES))
         return PyErr_Format(PyExc_OverflowError, "more than %d constraints", MAX_EDGES);
-    Status status;
+    int rejected;
     try {
-        status = k.assert_edge(int(u), int(v), wt);
+        rejected = k.assert_edge(int(u), int(v), wt);
     } catch (const std::bad_alloc &) {
         return PyErr_NoMemory();
     }
-    if (status == PI_OUT_OF_RANGE)
-        return PyErr_Format(PyExc_OverflowError, "difference-logic potentials out of range");
-    return PyLong_FromLong(status);
+    return PyLong_FromLong(rejected);
 }
 
 PyMethodDef kernel_methods[] = {
@@ -417,7 +332,7 @@ PyMethodDef kernel_methods[] = {
     {"push", push, METH_NOARGS, nullptr},
     {"pop", pop, METH_NOARGS, nullptr},
     {"earliest", earliest, METH_O,
-     "Strongest lower bound of `v` against the origin, or None."},
+     "Strongest lower bound of `v`; below -MAX_WEIGHT * MAX_EDGES when free."},
     {"earliest_all", earliest_all, METH_NOARGS, nullptr},
     {"changed", changed, METH_NOARGS,
      "Nodes whose `low` rose since the last push, one entry per raise.\n\n"

@@ -6,34 +6,50 @@ set is satisfiable.  Infeasible asserts are rejected: the constraint is not
 recorded and the offending negative cycle is kept for inspection, so the
 stored set is feasible at all times.
 
-Each variable ``x`` has ``low[x]``, the strongest lower bound derivable
-against the origin, or None when no chain of constraints leads from ``x`` to
-the origin; ``low`` is exactly the earliest-start value in scheduling
-encodings.  With it goes ``reason[x]``, the edge ``x -> y`` that last raised
-it, so ``low[x] == low[y] - w`` and following reasons from ``x`` leads to the
-origin.  Both are trailed and restored by :meth:`pop`.  :meth:`changed`
-reads the trail back to the last push: the nodes whose ``low`` rose since,
-one entry per raise, so a caller can update what it derives from ``low``
-by what an assert changed instead of rescanning every node.
+Each variable ``x`` has ``low[x]``, the strongest lower bound derivable for
+it when every variable but the origin starts at the floor
+``F = -3 * MAX_WEIGHT * MAX_EDGES``; for a variable that a chain of
+constraints leads from to the origin, ``low`` is exactly the earliest-start
+value in scheduling encodings.  With it goes ``reason[x]``, the edge
+``x -> y`` that last raised it, so ``low[x] == low[y] - w`` and following
+reasons from ``x`` leads to the origin or to a node still at the floor.
+Both are trailed and restored by :meth:`pop`.  :meth:`changed` reads the
+trail back to the last push: the nodes whose ``low`` rose since, one entry
+per raise, so a caller can update what it derives from ``low`` by what an
+assert changed instead of rescanning every node.
 
-An edge ``u -> v`` whose target has a lower bound is checked by raising
-``low`` from ``u`` (to ``low[v] - w``) backwards along incoming edges.  The
-lows are a feasible valuation of the bounded variables, so the new edge
-closes a negative cycle exactly when this would strictly raise ``v`` or the
-origin.  The assert is
-then rejected and its raises undone.  The cycle is read off the reasons: the
-raising edge, then the reason chain back to ``u``, which the new edge closes.
-When the origin would be raised, ``v``'s reason chain to the origin comes
-first; if that chain runs into a node this assert raised, the chain from
-there to ``u`` closes the cycle on its own.  One pass thus both detects the
-conflict and raises the earliest starts.
+An edge ``u -> v`` is checked by raising ``low`` from ``u`` (to
+``low[v] - w``) backwards along incoming edges.  The lows are a feasible
+valuation, so the new edge closes a negative cycle exactly when this would
+strictly raise ``v`` or the origin.  The assert is then rejected and its
+raises undone.  The cycle is read off the reasons: the raising edge, then
+the reason chain back to ``u``, which the new edge closes.  When the origin
+would be raised, ``v``'s reason chain to the origin comes first; if that
+chain runs into a node this assert raised, the chain from there to ``u``
+closes the cycle on its own.  One pass thus both detects the conflict and
+raises the earliest starts.
 
-An edge whose target has no lower bound raises nothing.  It is checked
-against a feasible valuation ``pi`` of the variables without lower bounds,
-by a Dijkstra-like relaxation seeded at the new edge (each node's value only
-ever decreases, and reduced costs stay non-negative, so every node is
-finalised at most once per assert).  Whatever that relaxation reaches also
-has no lower bound, since an edge into a bounded node bounds its source.
+The floor keeps the two kinds of value apart.  The stored set has no
+negative cycle and at most ``MAX_EDGES`` edges of weight within
+``+-MAX_WEIGHT``, so the strongest chain behind a value is a simple path of
+at most ``MAX_EDGES`` edges:
+
+* a value bounded from the origin is at least ``-MAX_WEIGHT * MAX_EDGES``;
+* a value reached from F is at most ``F + MAX_WEIGHT * MAX_EDGES``, that is
+  ``-2 * MAX_WEIGHT * MAX_EDGES``.
+
+So ``low[x] >= -MAX_WEIGHT * MAX_EDGES`` exactly when a chain leads from
+``x`` to the origin, and a caller reads a lower value as "no bound".  Inside
+an assert, even one that is then rejected, a raised value comes through the
+new edge once, after ``v``'s simple chain and before a simple path of stored
+edges (a stored cycle is never negative, and reaching ``v`` again stops the
+pass): a value reached from F stays below ``F + 2 * MAX_WEIGHT * MAX_EDGES
+< 0``, so it never raises the origin, and a rejection for the origin always
+follows a chain that ends there.  No value computed is below
+``F - MAX_WEIGHT``, which is above ``-2**63``, so every value fits a signed
+64-bit integer.  An assert reads only the stored edges, ``low`` and
+``reason``, and :meth:`pop` restores all three, so a rejected assert names
+the cycle that a fresh kernel replaying the stacked constraints names.
 
 The compiled backend, the hand-written C++ in ``_dl_core.cpp``, implements
 the same algorithm with the same tie-breaking; the two must be observably
@@ -42,57 +58,42 @@ identical.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from operator import index
 
 MAX_WEIGHT = 1 << 40
 MAX_EDGES = 1 << 21
-_PI_FLOOR = -(1 << 60)
+_FLOOR = -3 * MAX_WEIGHT * MAX_EDGES  # every new node's `low`
 _NEW_EDGE = -1
 
 
 class DiffKernel:
     __slots__ = (
-        "_src", "_dst", "_w", "_out", "_in", "_pi", "_low", "_reason",
+        "_src", "_dst", "_w", "_in", "_low", "_reason",
         "_marks", "_lowmarks", "_lowtrail", "_conflict",
-        "_gamma", "_gstamp", "_fstamp", "_parent", "_stamp",
     )
 
     def __init__(self):
         self._src: list[int] = []
         self._dst: list[int] = []
         self._w: list[int] = []
-        self._out: list[list[int]] = [[]]
         self._in: list[list[int]] = [[]]
-        self._pi: list[int] = [0]
-        self._low: list[int | None] = [0]
+        self._low: list[int] = [0]
         self._reason: list[int] = [_NEW_EDGE]
         self._marks: list[int] = []
         self._lowmarks: list[int] = []
-        self._lowtrail: list[tuple[int, int | None, int]] = []
+        self._lowtrail: list[tuple[int, int, int]] = []
         self._conflict: list[int] = []
-        self._gamma: list[int] = [0]
-        self._gstamp: list[int] = [0]
-        self._fstamp: list[int] = [0]
-        self._parent: list[int] = [0]
-        self._stamp = 0
 
     # --- structure ---------------------------------------------------------
 
     def add_var(self) -> int:
-        self._out.append([])
         self._in.append([])
-        self._pi.append(0)
-        self._low.append(None)
+        self._low.append(_FLOOR)
         self._reason.append(_NEW_EDGE)
-        self._gamma.append(0)
-        self._gstamp.append(0)
-        self._fstamp.append(0)
-        self._parent.append(0)
-        return len(self._pi) - 1
+        return len(self._low) - 1
 
     def num_vars(self) -> int:
-        return len(self._pi)
+        return len(self._low)
 
     def num_edges(self) -> int:
         return len(self._src)
@@ -114,7 +115,6 @@ class DiffKernel:
             raise IndexError("pop without matching push")
         mark = self._marks.pop()
         for eid in range(len(self._src) - 1, mark - 1, -1):
-            self._out[self._src[eid]].pop()
             self._in[self._dst[eid]].pop()
         del self._src[mark:], self._dst[mark:], self._w[mark:]
         self._undo(self._lowmarks.pop())
@@ -128,13 +128,13 @@ class DiffKernel:
 
     # --- queries -----------------------------------------------------------
 
-    def earliest(self, v: int) -> int | None:
-        """Strongest lower bound of ``v`` against the origin, or None."""
+    def earliest(self, v: int) -> int:
+        """Strongest lower bound of ``v``; below ``-MAX_WEIGHT * MAX_EDGES`` when free."""
         if not 0 <= v < len(self._low):
             raise IndexError(f"unknown variable {v}")
         return self._low[v]
 
-    def earliest_all(self) -> list[int | None]:
+    def earliest_all(self) -> list[int]:
         return list(self._low)
 
     def changed(self) -> list[int]:
@@ -156,7 +156,7 @@ class DiffKernel:
 
         On 1 the kernel is unchanged apart from the recorded conflict.
         """
-        n = len(self._pi)
+        n = len(self._low)
         if not (0 <= u < n and 0 <= v < n):
             raise IndexError(f"unknown variable in edge ({u}, {v})")
         if type(w) is not int:
@@ -169,19 +169,12 @@ class DiffKernel:
             if w < 0:
                 self._conflict = []
                 return 1
-        elif self._low[v] is not None:
-            if not self._raise(u, v, self._low[v] - w):
-                return 1
-        else:
-            pi = self._pi
-            slack = pi[u] + w - pi[v]
-            if slack < 0 and not self._relax(u, v, slack):
-                return 1
+        elif not self._raise(u, v, self._low[v] - w):
+            return 1
         eid = len(self._src)
         self._src.append(u)
         self._dst.append(v)
         self._w.append(w)
-        self._out[u].append(eid)
         self._in[v].append(eid)
         return 0
 
@@ -189,7 +182,7 @@ class DiffKernel:
         """Raise ``low[u]`` to ``cand`` and propagate; False (and rollback) on a cycle."""
         low, reason = self._low, self._reason
         lu = low[u]
-        if lu is not None and cand <= lu:
+        if cand <= lu:
             return True
         if u == 0:
             self._conflict = self._chain(v, ())
@@ -208,7 +201,7 @@ class DiffKernel:
                 t = src[eid]
                 cand = ln - wts[eid]
                 lt = low[t]
-                if lt is None or cand > lt:
+                if cand > lt:
                     if t == v or t == 0:
                         self._conflict = self._cycle(u, v, eid, start)
                         self._undo(start)
@@ -249,51 +242,3 @@ class DiffKernel:
         if x in raised:
             return head + self._chain(x, (u,))
         return head + [eid] + self._chain(dst[eid], (u,))
-
-    def _relax(self, u: int, v: int, slack: int) -> bool:
-        """Lower ``pi`` to absorb the new edge; False (and rollback) on a cycle."""
-        self._stamp += 1
-        stamp = self._stamp
-        pi, out, dst, wts = self._pi, self._out, self._dst, self._w
-        gamma, gstamp, fstamp, parent = self._gamma, self._gstamp, self._fstamp, self._parent
-        gamma[v] = slack
-        gstamp[v] = stamp
-        parent[v] = _NEW_EDGE
-        heap: list[tuple[int, int]] = [(slack, v)]
-        changed: list[tuple[int, int]] = []
-        while heap:
-            g, s = heappop(heap)
-            if fstamp[s] == stamp or gstamp[s] != stamp or gamma[s] != g:
-                continue
-            lowered = pi[s] + g
-            if lowered < _PI_FLOOR:
-                for node, old in reversed(changed):
-                    pi[node] = old
-                raise OverflowError("difference-logic potentials out of range")
-            fstamp[s] = stamp
-            changed.append((s, pi[s]))
-            pi[s] = lowered
-            for eid in out[s]:
-                t = dst[eid]
-                if fstamp[t] == stamp:
-                    continue
-                cand = pi[s] + wts[eid] - pi[t]
-                if cand >= 0:
-                    continue
-                if t == u:
-                    path = [eid]
-                    cur = s
-                    while cur != v:
-                        pe = parent[cur]
-                        path.append(pe)
-                        cur = self._src[pe]
-                    self._conflict = path[::-1]
-                    for node, old in reversed(changed):
-                        pi[node] = old
-                    return False
-                if gstamp[t] != stamp or cand < gamma[t]:
-                    gamma[t] = cand
-                    gstamp[t] = stamp
-                    parent[t] = eid
-                    heappush(heap, (cand, t))
-        return True

@@ -24,7 +24,10 @@ integers: node 0 is the origin, ``add_var()`` returns each new node (an
 engine variable's node is its ``handle + 1``), and
 ``assert_edge(y, x, k)`` asserts ``x - y <= k`` and returns 0, or 1 on a
 conflict.  Only the engine's own methods check that a variable belongs to
-the engine; the kernel takes nodes as given.
+the engine; the kernel takes nodes as given.  The kernel's ``earliest``
+values are raw: every node starts at a floor far below any bound from the
+origin, and a value below ``-MAX_WEIGHT * MAX_EDGES`` means the node has no
+such bound (see ``_dl_pure``).  The engine reads those as None.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ def make_kernel(backend: str | None = None):
             raise RuntimeError("compiled difference-logic kernel is not built")
         return _dl_core.DiffKernel()
     raise ValueError(f"unknown backend `{name}`")
+
+
+def _bounded(low: int) -> int | None:
+    """A raw kernel value as a bound from the origin, or None for a free node."""
+    return None if low < -_dl_pure.MAX_WEIGHT * _dl_pure.MAX_EDGES else low
 
 
 class DLVar(NamedTuple):
@@ -137,8 +145,8 @@ class DLEngine:
             yield DLConstraint(self._vars[v], self._vars[u], w)
 
     def lower_bound(self, var: DLVar) -> int | None:
-        """Strongest derivable lower bound of ``var`` with ``zero`` at 0."""
-        return self._kern.earliest(self._index(var))
+        """Strongest derivable lower bound of ``var`` with ``zero`` at 0, or None."""
+        return _bounded(self._kern.earliest(self._index(var)))
 
     def solution(self) -> dict[DLVar, int]:
         """A satisfying valuation with ``zero`` at 0.
@@ -148,7 +156,7 @@ class DLEngine:
         the constraints admit, found by relaxing downwards from 0.
         """
         kern = self._kern
-        low = kern.earliest_all()
+        low = [_bounded(x) for x in kern.earliest_all()]
         if all(x is not None for x in low):
             return {v: low[i] for i, v in enumerate(self._vars) if i > 0}
         vals = [x if x is not None else 0 for x in low]

@@ -92,6 +92,7 @@ from heapq import heapify, heappop, heappush
 from typing import Collection, Iterable, NamedTuple
 
 from . import dl
+from ._dl_pure import MAX_WEIGHT
 from .model import Instance, Task, tasks, validate_instance
 from .schedule import Allocation, Schedule, build_schedule
 
@@ -260,7 +261,7 @@ class _Search:
     # a small exact solve); slots keep those reads fast.
     __slots__ = (
         # built once per instance; ``reoptimize`` rebuilds ``class_groups`` for one step
-        "inst", "all_tasks", "dur", "due", "kern", "node", "sink_at", "base_level",
+        "inst", "all_tasks", "dur", "due", "serial", "kern", "node", "sink_at", "base_level",
         "low", "base_bound", "root_lb", "release", "same_pairs", "class_groups", "slots",
         "pair_bit", "pair_nodes",
         # a neighbourhood step's pins, and the search that runs those steps
@@ -277,6 +278,13 @@ class _Search:
         self.all_tasks = tasks(inst)
         self.dur = {t: inst.duration(t[1]) for t in self.all_tasks}
         self.due = {j.name: j.deadline for j in inst.jobs}
+        # every weight the search asserts lies within +-horizon, since
+        # :meth:`solve` clips each cap to the serial length
+        self.serial = sum(self.dur.values())
+        horizon = max(self.due.values(), default=0) + self.serial
+        if horizon > MAX_WEIGHT:
+            raise ValueError(f"largest deadline plus total duration is {horizon}, "
+                             f"above the limit {MAX_WEIGHT}")
 
         # called through the module, so that a wrapper patched onto
         # ``dl.make_kernel`` (the benchmark's tracer) sees this kernel
@@ -334,8 +342,12 @@ class _Search:
         schedule under ``cap`` to start from: only a strictly better schedule
         replaces it.  With ``rng``, an order search that stalls runs
         neighbourhood steps drawn from it (:meth:`_neighbourhood_step`).
+
+        A cap above the serial length is searched as the serial length: any
+        cap from there on admits the same schedules, as no earliest start
+        reaches its latest starts.
         """
-        self.cap = cap
+        self.cap = cap = min(cap, self.serial)
         self.optimizing = optimizing
         self.deadline = deadline
         self.rng = rng

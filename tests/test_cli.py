@@ -75,6 +75,41 @@ def test_solve_timeout_exit_code(capsys):
     assert json.loads(out)["verdict"] == "bound-not-found"
 
 
+BIG = 2**41 + 1  # past the kernels' weight limit of 2**40
+OUT_OF_RANGE = {
+    "long-duration": f"op(a,{BIG}). op(b,1). needs(a,w). needs(b,w). res(w,1,a). res(w,1,b).\n"
+                     "job(j,5). recipe(j,a). recipe(j,b). prec(j,a,b).\n",
+    "late-deadline": f"op(a,1). needs(a,w). res(w,1,a). job(j,{BIG}). recipe(j,a).\n",
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE)
+def test_times_out_of_range_exit_2(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.lp"
+    path.write_text(OUT_OF_RANGE[name])
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("mpfjss: ") and captured.err.count("\n") == 1
+    code, out = run(capsys, "bench", str(tmp_path))
+    assert code == 0
+    assert [(r["instance"], r["verdict"]) for r in parse_csv(out)] == [(name, "error")]
+
+
+def test_cap_past_the_serial_length(capsys):
+    # probes caps 0 and 2**40: the second stands for the serial length,
+    # and the report keeps it as probed
+    code, out = run(capsys, "solve", EXAMPLE, "--strategy", "inc",
+                    "--window", str(2**40))
+    assert code == 0
+    report = json.loads(out)
+    assert [p["bound"] for p in report["probes"]] == [0, 2**40]
+    assert report["cap"] == 2**40
+    assert report["total_tardiness"] == 1
+    assert report["verdict"] == "optimal"
+
+
 def test_validate_solver_output(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     run(capsys, "solve", EXAMPLE, "--output", str(report_path))

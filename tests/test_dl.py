@@ -289,44 +289,64 @@ def test_kernel_error_contract(backend):
     assert kern.assert_edge(a, a, -1) == 1
     assert kern.conflict() == []
     assert (kern.num_edges(), kern.earliest_all(), kern.changed()) == (edges, lows, [b])
+    # a free node, from which no chain of constraints leads to the origin,
+    # reads below every bound from the origin, also after a chain of the
+    # strongest raises among free nodes
+    reach = -module.MAX_WEIGHT * module.MAX_EDGES
+    free = [kern.add_var() for _ in range(10)]
+    assert kern.earliest(free[0]) < reach
+    for x, y in zip(free, free[1:]):
+        assert kern.assert_edge(y, x, -module.MAX_WEIGHT) == 0  # y >= x + MAX_WEIGHT
+    assert kern.earliest(free[0]) < reach and kern.earliest(free[-1]) < reach
+    eng = DLEngine(backend=backend)
+    x, y = eng.new_var("x"), eng.new_var("y")
+    assert eng.assert_upper(x, y, -module.MAX_WEIGHT) is None  # y >= x + MAX_WEIGHT
+    assert eng.lower_bound(y) is None
+    assert eng.assert_upper(eng.zero, x, 0) is None  # x >= 0
+    assert eng.lower_bound(y) == module.MAX_WEIGHT
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_conflict_depends_only_on_the_stacked_constraints(backend):
-    """With every variable bounded from the origin, a rejected assert names
-    the cycle a fresh kernel replaying the surviving constraints names."""
+    """A rejected assert names the cycle a fresh kernel replaying the
+    surviving constraints names: with every variable bounded from the
+    origin, and with no edge touching the origin, so every variable is free."""
     rng = random.Random(4711)
-    rejects = 0
-    for round_ in range(60):
-        nv = rng.randint(2, 10)
-        kern = dl.make_kernel(backend)
-        nodes = [kern.add_var() for _ in range(nv)]
-        bounds = [(n, 0, -rng.randint(0, 5)) for n in nodes]  # n >= some bound
-        for bound in bounds:
-            assert kern.assert_edge(*bound) == 0
-        surviving: list[list[tuple[int, int, int]]] = [bounds]
-        for _ in range(120):
-            act = rng.random()
-            if act < 0.2:
-                kern.push()
-                surviving.append([])
-            elif act < 0.35 and kern.level() > 0:
-                kern.pop()
-                surviving.pop()
-            else:
-                edge = (rng.randrange(0, nv + 1), rng.randrange(0, nv + 1), rng.randint(-10, 10))
-                if kern.assert_edge(*edge) == 0:
-                    surviving[-1].append(edge)
-                    continue
-                fresh = dl.make_kernel(backend)
-                for _ in nodes:
-                    fresh.add_var()
-                for kept in (e for level in surviving for e in level):
-                    assert fresh.assert_edge(*kept) == 0
-                assert fresh.assert_edge(*edge) == 1
-                assert kern.conflict() == fresh.conflict()
-                rejects += 1
-    assert rejects > 1000
+    for anchored in (True, False):
+        rejects = 0
+        for round_ in range(60):
+            nv = rng.randint(2, 10)
+            kern = dl.make_kernel(backend)
+            nodes = [kern.add_var() for _ in range(nv)]
+            # n >= some bound
+            bounds = [(n, 0, -rng.randint(0, 5)) for n in nodes] if anchored else []
+            for bound in bounds:
+                assert kern.assert_edge(*bound) == 0
+            first = 0 if anchored else 1
+            surviving: list[list[tuple[int, int, int]]] = [bounds]
+            for _ in range(120):
+                act = rng.random()
+                if act < 0.2:
+                    kern.push()
+                    surviving.append([])
+                elif act < 0.35 and kern.level() > 0:
+                    kern.pop()
+                    surviving.pop()
+                else:
+                    edge = (rng.randrange(first, nv + 1), rng.randrange(first, nv + 1),
+                            rng.randint(-10, 10))
+                    if kern.assert_edge(*edge) == 0:
+                        surviving[-1].append(edge)
+                        continue
+                    fresh = dl.make_kernel(backend)
+                    for _ in nodes:
+                        fresh.add_var()
+                    for kept in (e for level in surviving for e in level):
+                        assert fresh.assert_edge(*kept) == 0
+                    assert fresh.assert_edge(*edge) == 1
+                    assert kern.conflict() == fresh.conflict()
+                    rejects += 1
+        assert rejects > 1000
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
