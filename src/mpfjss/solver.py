@@ -31,6 +31,10 @@ asserted on a pushed level and popped afterwards.  The cap-search strategies
 send all their probes to one such search, as multi-shot ASP solving
 re-solves one ground program under a changing bound (Gebser et al., TPLP
 2019).  The final ``optimize`` of a cap search runs on that search too.
+The build also computes a cap floor from three root tests (each job's
+total duration, each class's work due by each deadline, and each two
+tasks forced onto one instance, with their heads and tails); a cap below
+it is answered UNSAT without search.
 
 Depth first, the exact search can spend its whole budget reordering the
 first allocation it reaches.  ``optimize`` therefore adds an anytime
@@ -89,6 +93,8 @@ import random
 import time
 from collections import deque
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
+from math import prod
 from typing import Collection, Iterable, NamedTuple
 
 from . import dl
@@ -102,6 +108,7 @@ NEIGHBOURHOOD_JOBS = 3  # jobs re-solved by one neighbourhood step, if there are
 DEFAULT_SEED = 0  # neighbourhood choice when ``optimize`` gets no seed
 MEMO_LEAVES = 4096  # refuted allocation leaves one solve remembers; the oldest go first
 _Groups = dict[str, list[tuple[frozenset[str], list[int]]]]  # per class: (capabilities, indices)
+_Offers = dict[str, list[tuple[str, tuple[int, ...]]]]  # per operation: (class, capable indices)
 
 
 class UnsolvableInstanceError(Exception):
@@ -216,27 +223,18 @@ def conflict_pairs(inst: Instance, alloc: Allocation) -> set[tuple[Task, Task]]:
     return set(_same_job_pairs(inst)) | _cross_job_pairs(_users(alloc).values())
 
 
-def _definitely_unsat(inst: Instance, cap: int) -> bool:
-    """Cheap necessary conditions: serial job length and class capacity."""
-    for j in inst.jobs:
-        if sum(inst.duration(o) for o in j.operations) > j.deadline + cap:
-            return True
-    work: dict[str, list[tuple[int, int]]] = {}
-    for j in inst.jobs:
-        window = j.deadline + cap
-        for o in j.operations:
-            for c in inst.demanded(o):
-                work.setdefault(c, []).append((window, inst.duration(o)))
-    for c, items in work.items():
-        count = len(inst.classes.get(c, ()))
-        items.sort()
-        acc = 0
-        for window, dur in items:
-            acc += dur
-            # everything due within `window` shares `count` instances
-            if acc > count * window:
-                return True
-    return False
+def _check_horizon(inst: Instance, serial: int) -> None:
+    """Raise ``ValueError`` unless ``inst``'s times fit the kernel's weights.
+
+    ``serial`` is the total duration of ``inst``'s tasks.  Every weight a
+    search asserts lies within +-(largest deadline plus ``serial``), since
+    :meth:`_Search.solve` clips each cap to ``serial``; so does every
+    earliest start of a fully ordered schedule.
+    """
+    horizon = max((j.deadline for j in inst.jobs), default=0) + serial
+    if horizon > MAX_WEIGHT:
+        raise ValueError(f"largest deadline plus total duration is {horizon}, "
+                         f"above the limit {MAX_WEIGHT}")
 
 
 class _Search:
@@ -246,8 +244,9 @@ class _Search:
     it asserts that every start is non-negative and that job precedence
     holds, at the kernel's base level, and fixes the earliest starts, root
     lower bound and release times those imply, the unordered same-job pairs,
-    the groups of interchangeable instances and the decision slots.
-    :meth:`solve` then enters a cap only as per-task latest starts, asserted
+    the groups of interchangeable instances, the decision slots and the cap
+    floor.  :meth:`solve` refutes a cap below the floor at once, and enters
+    any other cap only as per-task latest starts, asserted
     on a pushed kernel level that it pops again however the solve ends.  One
     search thus answers a sequence of caps the way multi-shot ASP solving
     re-solves one ground program under a changing bound.
@@ -263,7 +262,7 @@ class _Search:
         # built once per instance; ``reoptimize`` rebuilds ``class_groups`` for one step
         "inst", "all_tasks", "dur", "due", "serial", "kern", "node", "sink_at", "base_level",
         "low", "base_bound", "root_lb", "release", "same_pairs", "class_groups", "slots",
-        "pair_bit", "pair_nodes",
+        "cap_floor", "pair_bit", "pair_nodes",
         # a neighbourhood step's pins, and the search that runs those steps
         "keep", "kept_order", "step_limit", "_neighbour",
         # per solve
@@ -278,13 +277,8 @@ class _Search:
         self.all_tasks = tasks(inst)
         self.dur = {t: inst.duration(t[1]) for t in self.all_tasks}
         self.due = {j.name: j.deadline for j in inst.jobs}
-        # every weight the search asserts lies within +-horizon, since
-        # :meth:`solve` clips each cap to the serial length
         self.serial = sum(self.dur.values())
-        horizon = max(self.due.values(), default=0) + self.serial
-        if horizon > MAX_WEIGHT:
-            raise ValueError(f"largest deadline plus total duration is {horizon}, "
-                             f"above the limit {MAX_WEIGHT}")
+        _check_horizon(inst, self.serial)
 
         # called through the module, so that a wrapper patched onto
         # ``dl.make_kernel`` (the benchmark's tracer) sees this kernel
@@ -309,7 +303,11 @@ class _Search:
 
         self.same_pairs = _same_job_pairs(inst)
         self.class_groups = self._build_groups()
-        self.slots = self._build_slots()
+        # per operation, its demanded classes by name, each with the instances able to run it
+        offers = {o: [(c, inst.capable(c, o)) for c in sorted(cs)] for o, cs in inst.demands.items()}
+        self.slots = self._build_slots(offers)
+        # no cap below it admits a schedule, so :meth:`solve` answers those at once
+        self.cap_floor = max(self._work_floor(), self._pair_floor(offers))
         # one bit per conflict pair, given out as leaves meet new pairs, and
         # the pair's kernel nodes, cached with it
         self.pair_bit: dict[tuple[Task, Task], int] = {}
@@ -363,7 +361,7 @@ class _Search:
         self.on_key: dict[tuple[str, int], list[Task]] = {r.key: [] for r in self.inst.resources}
         # pair masks of the leaves whose order search came back empty
         self.refuted: deque[int] = deque(maxlen=MEMO_LEAVES)
-        if _definitely_unsat(self.inst, cap):
+        if cap < self.cap_floor:
             return None
         kern = self.kern
         kern.push()
@@ -452,20 +450,97 @@ class _Search:
             groups.setdefault(cls, []).append((frozenset(caps), sorted(idxs)))
         return groups
 
-    def _build_slots(self) -> list[tuple[Task, str]]:
+    def _build_slots(self, offers: _Offers) -> list[tuple[Task, str]]:
         """One decision slot per (task, demanded class), hardest jobs first."""
+        branch = {o: prod([len(idxs) or 1 for _, idxs in offer]) for o, offer in offers.items()}
 
         def key(t: Task) -> tuple:
-            branch = 1
-            for c in sorted(self.inst.demanded(t[1])):
-                branch *= max(1, len(self.inst.capable(c, t[1])))
-            return (self.due[t[0]], t[0], branch, t[1])
+            return (self.due[t[0]], t[0], branch.get(t[1], 1), t[1])
 
         slots = []
         for t in sorted(self.all_tasks, key=key):
-            for c in sorted(self.inst.demanded(t[1])):
+            for c, _ in offers.get(t[1], ()):
                 slots.append((t, c))
         return slots
+
+    def _work_floor(self) -> int:
+        """The smallest cap that leaves room for each job's and each class's work.
+
+        A job's tasks run one at a time from time 0, so a job must end no
+        earlier than its total duration.  The tasks due by some deadline
+        that demand a class share its ``count`` instances until that
+        deadline plus the cap: with ``acc`` minutes of such work,
+        ``acc > count * (deadline + cap)`` refutes every cap below
+        ``ceil((acc - count * deadline) / count)``.
+        """
+        due, dur = self.due, self.dur
+        total = dict.fromkeys(due, 0)
+        for t, d in dur.items():
+            total[t[0]] += d
+        floor = max([0] + [total[j] - due[j] for j in due])
+        work: dict[str, list[tuple[int, int]]] = {}
+        for t, c in self.slots:
+            work.setdefault(c, []).append((due[t[0]], dur[t]))
+        for c, items in work.items():
+            items.sort()
+            count = len(self.inst.classes[c])
+            acc = accumulate(d for _, d in items)
+            most = max(a - count * by for a, (by, _) in zip(acc, items))
+            floor = max(floor, -(-most // count))
+        return floor
+
+    def _pair_floor(self, offers: _Offers) -> int:
+        """The smallest cap under which any two tasks forced onto one instance fit.
+
+        A task is forced onto an instance when that instance is the only
+        one of a demanded class able to run its operation, so two tasks
+        forced onto one instance run one after the other.  Each task starts
+        no earlier than its release and must leave room for its tail, the
+        longest chain of its job's later tasks, before its job's deadline
+        plus the cap.  A pair thus refutes every cap below the lesser of
+        what its two orders need: the two-task rule with heads and tails
+        (Carlier & Pinson, Management Science 1989).  Only pairs whose
+        order precedence leaves open count: a fixed order needs no more
+        than the per-task latest starts that :meth:`solve` asserts.
+        """
+        inst, dur, due, rel = self.inst, self.dur, self.due, self.release
+
+        def onto(op: str) -> set[tuple[str, int]]:
+            """The instances ``op`` is forced onto."""
+            return {(c, idxs[0]) for c, idxs in offers.get(op, ()) if len(idxs) == 1}
+
+        # per instance, its forced tasks by job
+        forced: dict[tuple[str, int], dict[str, list[Task]]] = {}
+        for j in inst.jobs:
+            for o in j.operations:
+                for c, idxs in offers.get(o, ()):
+                    if len(idxs) == 1:
+                        forced.setdefault((c, idxs[0]), {}).setdefault(j.name, []).append((j.name, o))
+        pairs = [(a, b) for a, b in self.same_pairs if onto(a[1]) & onto(b[1])]
+        for by_job in forced.values():
+            groups = list(by_job.values())
+            for i, xs in enumerate(groups):
+                for ys in groups[i + 1:]:
+                    pairs += [(x, y) for x in xs for y in ys]
+        if not pairs:
+            return 0
+
+        succ: dict[Task, list[Task]] = {}
+        for j in inst.jobs:
+            for a, b in j.precedence:
+                succ.setdefault((j.name, a), []).append((j.name, b))
+        # a successor's release exceeds its predecessor's, as durations are >= 1
+        tail: dict[Task, int] = {}
+        for t in sorted(self.all_tasks, key=rel.__getitem__, reverse=True):
+            tail[t] = max((dur[s] + tail[s] for s in succ.get(t, ())), default=0)
+
+        def need(x: Task, y: Task) -> int:
+            """The least cap under which ``x`` can run before ``y``."""
+            end = rel[x] + dur[x]
+            return max(end + tail[x] - due[x[0]],
+                       max(rel[y], end) + dur[y] + tail[y] - due[y[0]])
+
+        return max(min(need(x, y), need(y, x)) for x, y in pairs)
 
     # -- shared machinery -----------------------------------------------
 
@@ -972,8 +1047,10 @@ def start_times_from_order(
     """Earliest schedule for fully directed orderings, or None on a cycle.
 
     ``before`` lists directed pairs (first task completes before the second
-    starts); job precedence is added automatically.
+    starts); job precedence is added automatically.  Raises ``ValueError``
+    when the instance's times are past the kernel's range, as a search does.
     """
+    _check_horizon(inst, sum(inst.duration(o) for j in inst.jobs for o in j.operations))
     eng = dl.DLEngine()
     var = {t: eng.new_var(t) for t in tasks(inst)}
     for v in var.values():

@@ -59,14 +59,15 @@ def test_layer_boundaries_are_looked_up_when_called(monkeypatch, example_instanc
     monkeypatch.setattr(solver, "STALL_STEPS", 0)
 
     day = generate(dataclasses.replace(GenParams(), jobs=(10, 10)), 1)
-    hard = generate(dataclasses.replace(GenParams(), jobs=(15, 15)), 5)
+    hard = generate(dataclasses.replace(GenParams(), jobs=(30, 30)), 3)
     runs = [
         (example_instance, StrategyConfig(strategy="exp"), 2),
         (example_instance, StrategyConfig(strategy="inc"), 2),
         (example_instance, StrategyConfig(strategy="single"), 2),
         (day, StrategyConfig(strategy="exp", timeout=0.25), 2),
         (day, StrategyConfig(strategy="inc", timeout=0.25), 2),
-        # a probe's first step check passes this deadline
+        # probes below the cap floor take no step; the first one above it
+        # passes this deadline at its first step check
         (hard, StrategyConfig(strategy="exp", timeout=1 / 128), 1),
     ]
     verdicts = set()

@@ -11,7 +11,8 @@ The search skips an allocation leaf whose conflict pairs contain those of a
 leaf it has already refuted in the same solve, and its order search jumps
 back over levels that took no part in a failure.  It tries a slot's
 instances by how many of their tasks clash with the slot's task, then least
-loaded first.  Each pin therefore has four step counts:
+loaded first.  It refutes every cap below its cap floor without a step.
+Each pin therefore has five step counts:
 
 * the first is taken by ``_PlainSearch``, which backtracks chronologically
   and whose memo never fires, and equals the count pinned before the memo
@@ -19,12 +20,17 @@ loaded first.  Each pin therefore has four step counts:
 * the second by ``_ChronoSearch``, which keeps the memo but backtracks
   chronologically, and equals the count pinned before backjumping existed;
 * the third by the search with backjumping;
-* the fourth by the search as shipped.
+* the fourth by the search with the clash order;
+* the fifth by the search as shipped, whose cap floor also counts two
+  tasks forced onto one instance.
 
-The first three try instances least loaded first (``_LoadOrder``), as the
-search did when they were pinned, and return the same schedule.  The
-shipped search may reach another schedule first, so its column has a total
-and a digest of its own; an optimum it proves has the same total.
+The first four leave that two-task rule out of the floor (``_NoPairFloor``),
+as the search did when they were pinned.  The first three try instances
+least loaded first (``_LoadOrder``) and return the same schedule.  The
+clash order may reach another schedule first, so the last two columns have
+a total and a digest of their own; an optimum they prove has the same
+total.  The floor only answers caps that no schedule meets, so it changes
+steps, never a schedule.
 """
 
 import dataclasses
@@ -63,54 +69,55 @@ SHOP = GenParams(op_types=6, machines=4, workers=5, ops_per_job=(2, 4),
                  durations=(2, 6), shift=40)
 
 # (instance, mode, cap, plain steps, memo steps, backjump steps, total
-# tardiness, schedule digest, shipped steps, shipped total, shipped digest);
-# an instance is "example" or (generator, jobs, seed, partial_order)
+# tardiness, schedule digest, clash steps, clash total, clash digest, shipped
+# steps); an instance is "example" or (generator, jobs, seed, partial_order)
 PINNED = [
     ("example", "decide", 0, 0, 0, 0, None, None,
-     0, None, None),
+     0, None, None, 0),
     ("example", "decide", 1, 145, 145, 107, 1, "c11bb8a35b520c9b",
-     107, 1, "c11bb8a35b520c9b"),
+     107, 1, "c11bb8a35b520c9b", 107),
     ("example", "optimize", 1, 2554, 1447, 1409, 1, "c11bb8a35b520c9b",
-     1409, 1, "c11bb8a35b520c9b"),
+     1409, 1, "c11bb8a35b520c9b", 1409),
     ("example", "optimize", 3, 3605, 1941, 1941, 1, "c11bb8a35b520c9b",
-     1941, 1, "c11bb8a35b520c9b"),
+     1941, 1, "c11bb8a35b520c9b", 1941),
     (("shop", 3, 6, 0.0), "decide", 3, 4629, 2156, 2139, None, None,
-     2139, None, None),
+     2139, None, None, 0),
     (("shop", 3, 6, 0.0), "decide", 4, 1444, 298, 261, 6, "09c9453ba71f6438",
-     261, 6, "09c9453ba71f6438"),
+     261, 6, "09c9453ba71f6438", 261),
     (("shop", 3, 6, 0.0), "optimize", 4, 7240, 2199, 2162, 6, "09c9453ba71f6438",
-     2162, 6, "09c9453ba71f6438"),
+     2162, 6, "09c9453ba71f6438", 2162),
     (("shop", 3, 5, 0.0), "optimize", 6, 2878, 1202, 1193, 14, "84455d75f04c0725",
-     1161, 14, "84455d75f04c0725"),
+     1161, 14, "84455d75f04c0725", 1161),
     (("day", 3, 2, 0.0), "decide", 52, 31, 31, 31, 52, "e55e3749abe578af",
-     31, 52, "e55e3749abe578af"),
+     31, 52, "e55e3749abe578af", 31),
     (("day", 3, 2, 0.0), "optimize", 52, 31, 31, 31, 52, "e55e3749abe578af",
-     31, 52, "e55e3749abe578af"),
+     31, 52, "e55e3749abe578af", 31),
     (("shop", 5, 8, 0.5), "decide", 6, 2600, 2600, 165, 12, "430a7411b012e420",
-     65, 12, "2f50b8c8f87aab0a"),
+     65, 12, "2f50b8c8f87aab0a", 65),
     (("shop", 5, 4, 0.5), "optimize", 28, 319, 319, 319, 8, "25f9a1428eca09d7",
-     226, 8, "dfe2bac8dfa12adf"),
+     226, 8, "dfe2bac8dfa12adf", 226),
     (("day", 5, 3, 0.5), "decide", 25, 41, 41, 41, 25, "d7a4e2135e40e51a",
-     41, 25, "d7a4e2135e40e51a"),
+     41, 25, "d7a4e2135e40e51a", 41),
     (("day", 5, 3, 0.5), "optimize", 25, 41, 41, 41, 25, "d7a4e2135e40e51a",
-     41, 25, "d7a4e2135e40e51a"),
+     41, 25, "d7a4e2135e40e51a", 41),
     (("shop", 10, 2, 0.0), "decide", 1, 1196, 1196, 214, 2, "0e501a7a6d112d25",
-     211, 1, "cfc49787093e6d61"),
+     211, 1, "cfc49787093e6d61", 211),
     (("shop", 10, 2, 0.0), "optimize", 1, 1197, 1197, 215, 1, "5f2a96a708c922b5",
-     211, 1, "cfc49787093e6d61"),
+     211, 1, "cfc49787093e6d61", 211),
     (("shop", 10, 3, 0.5), "decide", 5, 155, 155, 155, 13, "4eab8513cb55fd44",
-     159, 11, "1c3c32736b10dc42"),
+     159, 11, "1c3c32736b10dc42", 159),
     (("shop", 10, 3, 0.5), "optimize", 5, 2325, 2325, 2311, 5, "14cf9e76dae2bd4e",
-     699, 5, "b2083d746fd49413"),
+     699, 5, "b2083d746fd49413", 699),
     (("day", 10, 2, 0.5), "decide", 40, 116, 116, 116, 111, "85f55a707007abc7",
-     116, 111, "12be02dc231c0563"),
+     116, 111, "12be02dc231c0563", 116),
     (("day", 10, 4, 0.0), "optimize", 63, 79, 79, 79, 66, "6a30113a3a8e1dd7",
-     79, 66, "6a30113a3a8e1dd7"),
+     79, 66, "6a30113a3a8e1dd7", 79),
 ]
 PLAIN_PINS = [(k, m, c, plain, t, d) for k, m, c, plain, _, _, t, d, *_ in PINNED]
 MEMO_PINS = [(k, m, c, memo, t, d) for k, m, c, _, memo, _, t, d, *_ in PINNED]
 JUMP_PINS = [(k, m, c, jump, t, d) for k, m, c, _, _, jump, t, d, *_ in PINNED]
-SHIPPED_PINS = [(*row[:3], *row[8:]) for row in PINNED]
+CLASH_PINS = [(*row[:3], *row[8:11]) for row in PINNED]
+SHIPPED_PINS = [(*row[:3], row[11], *row[9:11]) for row in PINNED]
 
 
 class _ChronoSearch(_Search):
@@ -135,12 +142,23 @@ class _EveryPlain(_EveryInstance, _PlainSearch):
     """``_PlainSearch`` without symmetry breaking."""
 
 
-class _LoadPlain(_LoadOrder, _PlainSearch):
+class _NoPairFloor(_Search):
+    """The search whose cap floor leaves out the two-task rule: the fourth column."""
+
+    def _pair_floor(self, offers):
+        return 0
+
+
+class _LoadPlain(_LoadOrder, _PlainSearch, _NoPairFloor):
     """``_PlainSearch`` trying instances least loaded first: the first column."""
 
 
-class _LoadChrono(_LoadOrder, _ChronoSearch):
+class _LoadChrono(_LoadOrder, _ChronoSearch, _NoPairFloor):
     """``_ChronoSearch`` trying instances least loaded first: the second column."""
+
+
+class _LoadJump(_LoadOrder, _NoPairFloor):
+    """The search with backjumping, trying instances least loaded first: the third column."""
 
 
 def _instance(key):
@@ -201,7 +219,15 @@ def test_memo_search_trajectory_is_pinned(backend, key, mode, cap, steps, total,
 @pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
 @pytest.mark.parametrize("key,mode,cap,steps,total,digest", JUMP_PINS)
 def test_backjump_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
-    search = _LoadOrder(_instance(key))
+    search = _LoadJump(_instance(key))
+    sched = _run(search, cap, mode == "optimize")
+    _check_pin(search, sched, steps, total, digest)
+
+
+@pytest.mark.parametrize("backend", AVAILABLE_BACKENDS, indirect=True)
+@pytest.mark.parametrize("key,mode,cap,steps,total,digest", CLASH_PINS)
+def test_clash_search_trajectory_is_pinned(backend, key, mode, cap, steps, total, digest):
+    search = _NoPairFloor(_instance(key))
     sched = _run(search, cap, mode == "optimize")
     _check_pin(search, sched, steps, total, digest)
 
@@ -220,7 +246,8 @@ def test_shipped_search_trajectory_is_pinned(backend, key, mode, cap, steps, tot
 def test_one_search_replays_every_pin(backend, key):
     """Every pinned cap of an instance, forward then backward, on one search."""
     for cls, pins in ((_LoadPlain, PLAIN_PINS), (_LoadChrono, MEMO_PINS),
-                      (_LoadOrder, JUMP_PINS), (_Search, SHIPPED_PINS)):
+                      (_LoadJump, JUMP_PINS), (_NoPairFloor, CLASH_PINS),
+                      (_Search, SHIPPED_PINS)):
         rows = [row[1:] for row in pins if row[0] == key]
         search = cls(_instance(key))
         for mode, cap, steps, total, digest in rows + rows[::-1]:
@@ -588,8 +615,68 @@ def test_clash_order_proves_days_the_load_order_cannot(monkeypatch, jobs, seed, 
     assert report.total_tardiness == optimum == _Search(day).root_lb
 
 
-class _CutMidLeaf(_Search):
-    """Times out at the first step past ``cut`` taken inside an order search."""
+def test_pair_floor_gives_the_day_its_cap(monkeypatch):
+    """``exp`` on n15s05 (15 jobs, seed 5) finds cap 72 within a step budget.
+
+    Two tasks forced onto worker w22 refute every cap below 72 without a
+    step, where the search without that rule spends any budget on cap 64.
+    """
+    day = generate(dataclasses.replace(GenParams(), jobs=(15, 15)), 5)
+    search = _Search(day)
+    assert (search.cap_floor, search._work_floor()) == (72, 64)
+    for cap in (64, 71):
+        assert search.solve(cap) is None and search._ticks == 0
+    with pytest.raises(SolveTimeout):
+        _step_capped(_NoPairFloor, 5000)(day).solve(64)
+    monkeypatch.setattr(bounds, "_Search", _step_capped(_Search, 1024))
+    report = solve_with_strategy(day, StrategyConfig(strategy="exp"))
+    assert report.bound.cap == 72
+    assert [(p.bound, p.sat) for p in report.bound.probes][-1] == (71, False)
+    assert check_schedule(day, report.schedule) == []
+
+
+def _old_precheck(inst, cap):
+    """The serial and class rules as the search once tested them at every cap."""
+    for j in inst.jobs:
+        if sum(inst.duration(o) for o in j.operations) > j.deadline + cap:
+            return True
+    work = {}
+    for j in inst.jobs:
+        for o in j.operations:
+            for c in inst.demanded(o):
+                work.setdefault(c, []).append((j.deadline + cap, inst.duration(o)))
+    for c, items in work.items():
+        count = len(inst.classes.get(c, ()))
+        acc = 0
+        for window, dur in sorted(items):
+            acc += dur
+            if acc > count * window:
+                return True
+    return False
+
+
+def test_cap_floor_keeps_the_old_rules():
+    """Below ``_work_floor`` exactly the caps the old per-cap rules refuted."""
+    rng = random.Random(31)
+    insts = [_instance(key) for key in dict.fromkeys(row[0] for row in PINNED)]
+    insts += [random_tiny_instance(rng) for _ in range(50)]
+    insts += [generate(dataclasses.replace(GenParams(), jobs=(n, n)), seed)
+              for n in (15, 30) for seed in (1, 2, 3, 5)]
+    for inst in insts:
+        search = _Search(inst)
+        floor = search._work_floor()
+        assert search.cap_floor >= floor
+        # the old rules refute a cap only when they refute every smaller one
+        for cap in {0, floor - 1, floor, search.serial} - {-1}:
+            assert (cap < floor) == _old_precheck(inst, cap)
+
+
+class _CutMidLeaf(_NoPairFloor):
+    """Times out at the first step past ``cut`` taken inside an order search.
+
+    Its cap floor leaves the two-task rule out, which would refute the
+    pinned UNSAT cap before any leaf.
+    """
 
     cut = None
     in_leaf = False
@@ -612,7 +699,7 @@ class _CutMidLeaf(_Search):
                                           ("example", "optimize", 3)])
 def test_memo_after_a_timeout_mid_leaf(key, mode, cap):
     inst = _instance(key)
-    fresh = _Search(inst)
+    fresh = _NoPairFloor(inst)
     want = _run(fresh, cap, mode == "optimize")
     for cut in (fresh._ticks // 3, 2 * fresh._ticks // 3):
         search = _CutMidLeaf(inst)
@@ -647,8 +734,12 @@ def test_two_neighbourhood_steps_on_one_search_match_fresh_searches():
                                                                fresh.best)
 
 
-class _RecordingSearch(_PlainSearch):
-    """Records every refuted leaf's mask and stops past ``LIMIT`` of them."""
+class _RecordingSearch(_PlainSearch, _NoPairFloor):
+    """Records every refuted leaf's mask and stops past ``LIMIT`` of them.
+
+    Its cap floor leaves the two-task rule out, which would refute the cap
+    below before any leaf.
+    """
 
     LIMIT = MEMO_LEAVES + 100
 

@@ -11,6 +11,7 @@ from mpfjss.oracle import brute_force_min_cap, brute_force_optimal
 from mpfjss.solver import (
     SolveTimeout,
     UnsolvableInstanceError,
+    _Search,
     _same_job_pairs,
     conflict_pairs,
     decide,
@@ -19,7 +20,8 @@ from mpfjss.solver import (
 )
 from mpfjss.validate import check_schedule, total_tardiness
 
-from conftest import _EveryInstance, interchangeable
+from conftest import _EveryInstance, interchangeable, random_tiny_instance
+from test_cli import OUT_OF_RANGE
 from test_model import _chain_text
 from test_validator import ALLOC, STARTS_A
 
@@ -96,18 +98,65 @@ def test_negative_cap_rejected(example_instance):
 
 def test_unsat_found_by_search_not_precheck():
     # both chains fight for the single a-capable and b-capable workers;
-    # one job inevitably completes at 3, one minute past its window
+    # one job inevitably completes at 3, one minute past its window, which
+    # the two a-tasks forced onto worker 1 show before any search
     inst = parse_instance(
         "op(a,1). op(b,1). needs(a,w). needs(b,w).\n"
         "res(w,1,a). res(w,2,b).\n"
         "job(j1,1). recipe(j1,a). recipe(j1,b). prec(j1,a,b).\n"
         "job(j2,1). recipe(j2,a). recipe(j2,b). prec(j2,a,b).\n"
     )
-    from mpfjss.solver import _definitely_unsat
-
-    assert not _definitely_unsat(inst, 1)
+    assert _Search(inst).cap_floor == 2
     assert decide(inst, 1) is None
     assert decide(inst, 2) is not None
+
+    # three jobs end on two interchangeable workers, all released at 2 and
+    # due at 3: one ends at 4, which no rule of the cap floor sees
+    lines = ["op(x,2). op(a,1). needs(x,m). needs(a,w).",
+             "res(m,1,x). res(m,2,x). res(m,3,x). res(w,1,a). res(w,2,a)."]
+    for i in (1, 2, 3):
+        lines.append(f"job(j{i},3). recipe(j{i},x). recipe(j{i},a). prec(j{i},x,a).")
+    search = _Search(parse_instance("\n".join(lines)))
+    assert search.cap_floor == 0
+    assert search.solve(0) is None and search._ticks > 0
+    assert search.solve(1) is not None
+
+
+def test_cap_floor_never_passes_the_least_cap():
+    """On tiny instances the cap floor is at most the oracle's least cap.
+
+    The two-task rule raises the floor above the serial and class rules on
+    some of them.
+    """
+    raised = 0
+    for twin_workers in (False, True):
+        rng = random.Random(5)
+        for _ in range(60):
+            inst = random_tiny_instance(rng, twin_workers=twin_workers)
+            search = _Search(inst)
+            assert search.cap_floor <= brute_force_min_cap(inst)
+            raised += search.cap_floor > search._work_floor()
+    assert raised > 0
+
+
+def test_cap_floor_of_a_long_chain():
+    # the chain's 2000 unit tasks, all on one worker, end no earlier than
+    # 2000 with a deadline of 0; a second job's task forced onto that worker
+    # pairs with each of them, so the build takes the tails along the whole
+    # chain, without recursion; the worker's 2001 tasks end no earlier than 2001
+    text = _chain_text(2000)
+    assert _Search(parse_instance(text)).cap_floor == 2000
+    assert _Search(parse_instance(text + "job(k,0). recipe(k,o1999).\n")).cap_floor == 2001
+
+
+def test_times_out_of_range_raise_value_error():
+    """``start_times_from_order`` makes the search's range check, not the kernel's."""
+    inst = parse_instance(OUT_OF_RANGE["long-duration"])
+    with pytest.raises(ValueError, match="above the limit"):
+        decide(inst, 0)
+    alloc = {("j", "a"): {"w": 1}, ("j", "b"): {"w": 1}}
+    with pytest.raises(ValueError, match="above the limit"):
+        start_times_from_order(inst, alloc, [])
 
 
 def test_timeout_raises():
